@@ -14,15 +14,20 @@
 //! for up to `refresh − 1` subsequent allocations, touching the shared
 //! table only every `refresh` allocations. Correctness is anchored by
 //! the sampling unit's probability epoch ([`crate::SamplingUnit::epoch`]):
-//! every step-change event bumps it, and the cache compares epochs
-//! before every use, discarding all memoized verdicts wholesale on
-//! mismatch. Time-driven transitions the epoch cannot see coming —
+//! every step-change event bumps it, each memoized verdict carries the
+//! epoch it was filled at, and a verdict from an older epoch is served
+//! as a miss. Time-driven transitions the epoch cannot see coming —
 //! burst-throttle exit, revive eligibility — are covered by an entry
 //! time-to-live of one burst window. Allocations that were decided from the cache are counted
 //! as `pending` per entry and absorbed into the sampler (allocation
 //! counts, burst windows, degradation) at the next refresh or flush, so
 //! the probability schedule converges to the uncached one with an error
-//! bounded by `refresh × degrade_per_alloc_ppm`.
+//! bounded by `refresh × degrade_per_alloc_ppm`. An epoch change
+//! absorbs the pending counts right away, but it does not walk the
+//! table: the cache lists every entry whose `pending` count became
+//! non-zero, and the invalidation visits only those. Watch installs
+//! bump the epoch, so a whole-table sweep per bump would cost the
+//! allocation path in proportion to the number of live contexts.
 //!
 //! With `refresh == 1` every decision goes to the shared table — the
 //! pre-cache behaviour, kept as a comparison mode for the fast-path
@@ -45,10 +50,16 @@ struct CachedVerdict {
     /// *time*-driven, invisible to the allocation-count epoch, so a
     /// verdict must never be reused across a window boundary.
     filled_at: VirtInstant,
+    /// The sampler epoch the verdict was filled at; any other epoch
+    /// makes the entry a miss.
+    epoch: u64,
     /// Cache-hit allocations not yet absorbed into the sampler.
     pending: u32,
     /// Hits remaining before the next forced refresh.
     uses_left: u32,
+    /// The key is on the dirty list. Keeps the list no longer than the
+    /// table however many hit/refresh cycles pass between two epochs.
+    listed: bool,
 }
 
 /// Counters describing how a [`DecisionCache`] behaved.
@@ -59,7 +70,7 @@ pub struct DecisionCacheStats {
     /// Decisions that went to the sampling unit (first sight, refresh
     /// due, or right after an invalidation).
     pub misses: u64,
-    /// Whole-cache invalidations caused by a probability-epoch change.
+    /// Whole-cache invalidations: probability-epoch changes and flushes.
     pub invalidations: u64,
 }
 
@@ -71,7 +82,11 @@ pub struct DecisionCacheStats {
 #[derive(Debug)]
 pub struct DecisionCache {
     map: FastMap<ContextKey, CachedVerdict>,
-    /// The sampler epoch the memoized verdicts were filled at.
+    /// Keys whose entry may hold a non-zero `pending` count — every
+    /// entry with one is listed. Emptied by each invalidation.
+    dirty: Vec<ContextKey>,
+    /// The sampler epoch of the last invalidation; only entries
+    /// stamped with it are served.
     epoch: u64,
     /// Decisions per context between authoritative refreshes; `1`
     /// disables memoization entirely.
@@ -90,6 +105,7 @@ impl DecisionCache {
         assert!(refresh > 0, "decision-cache refresh must be at least 1");
         DecisionCache {
             map: FastMap::new(),
+            dirty: Vec::new(),
             epoch: 0,
             refresh,
             stats: DecisionCacheStats::default(),
@@ -118,9 +134,16 @@ impl DecisionCache {
         let ttl = sampler.params().burst_window;
         if self.refresh > 1 {
             if let Some(entry) = self.map.get_mut(key) {
-                if entry.uses_left > 0 && now.saturating_duration_since(entry.filled_at) <= ttl {
+                if entry.epoch == self.epoch
+                    && entry.uses_left > 0
+                    && now.saturating_duration_since(entry.filled_at) <= ttl
+                {
                     entry.uses_left -= 1;
                     entry.pending += 1;
+                    if !entry.listed {
+                        entry.listed = true;
+                        self.dirty.push(key);
+                    }
                     self.stats.hits += 1;
                     let mut d = entry.decision;
                     d.first_seen = false;
@@ -132,11 +155,13 @@ impl DecisionCache {
                 }
             }
         }
-        // Miss, refresh due, or memoization disabled: take the pending
-        // batch to the sampling unit and memoize the fresh verdict. The
-        // count is moved out of the entry, not copied — if the fresh
-        // decision bumps the epoch (burst, revive) the invalidation
-        // below must not absorb the same allocations twice.
+        // Miss, stale epoch, refresh due, or memoization disabled: take
+        // the pending batch to the sampling unit and memoize the fresh
+        // verdict. The count is moved out of the entry, not copied — if
+        // the fresh decision bumps the epoch (burst, revive) the
+        // invalidation below must not absorb the same allocations
+        // twice. A stale entry's count was absorbed by the invalidation
+        // that outdated it, so it reads 0 here.
         let pending = self
             .map
             .get_mut(key)
@@ -150,28 +175,38 @@ impl DecisionCache {
         if post != self.epoch {
             self.invalidate(sampler, post);
         }
+        // The entry keeps its `listed` flag: the key stays on the dirty
+        // list until the next invalidation visits it. Read only now, as
+        // the invalidation above may just have emptied the list.
+        let listed = self.map.get(key).is_some_and(|e| e.listed);
         self.map.insert(
             key,
             CachedVerdict {
                 decision,
                 filled_at: now,
+                epoch: self.epoch,
                 pending: 0,
                 uses_left: self.refresh - 1,
+                listed,
             },
         );
         decision
     }
 
-    /// Drops every memoized verdict, first absorbing all pending
-    /// allocation counts into the sampler. Called on epoch changes and
-    /// from [`DecisionCache::flush`].
+    /// Outdates every memoized verdict, first absorbing all pending
+    /// allocation counts into the sampler. Only the dirty keys are
+    /// visited; the stale entries stay in the table and miss on their
+    /// next use. Absorbs are per key and commute, so the sampler ends
+    /// in the same state as after a sweep of the whole table.
     fn invalidate(&mut self, sampler: &SamplingUnit, new_epoch: u64) {
         self.stats.invalidations += 1;
-        self.map.drain(|key, entry| {
-            if entry.pending > 0 {
-                sampler.absorb_allocations(key, entry.pending);
+        for key in self.dirty.drain(..) {
+            if let Some(entry) = self.map.get_mut(key) {
+                entry.listed = false;
+                let pending = std::mem::take(&mut entry.pending);
+                sampler.absorb_allocations(key, pending);
             }
-        });
+        }
         self.epoch = new_epoch;
     }
 
@@ -183,6 +218,7 @@ impl DecisionCache {
             return;
         }
         self.invalidate(sampler, sampler.epoch());
+        self.map.clear();
     }
 
     /// The refresh interval this cache was built with.
@@ -278,6 +314,96 @@ mod tests {
         assert_eq!(cache.stats().invalidations, inv_before + 1);
         // The pending hit on `a` was absorbed during the invalidation.
         assert_eq!(u.state(ka).unwrap().alloc_count, 2);
+    }
+
+    #[test]
+    fn epoch_bump_absorbs_each_pending_count_once_and_serves_stale_as_miss() {
+        let frames = FrameTable::new();
+        let u = sampler();
+        let mut rng = Arc4Random::from_seed(1, 0);
+        let mut cache = DecisionCache::new(2);
+        let (k, c) = fixtures(&frames, "a");
+        let (kb, cb) = fixtures(&frames, "b");
+        let mut alloc = |cache: &mut DecisionCache, key, ctx: &CallingContext| {
+            cache.on_allocation(&u, key, VirtInstant::BOOT, &mut rng, ctx, |_| {
+                ContextJudgment::clear()
+            })
+        };
+        // Miss, hit (pending 0 -> 1, key listed), refresh miss (takes
+        // the pending hit to the sampler), hit (pending 0 -> 1 again).
+        alloc(&mut cache, k, &c);
+        alloc(&mut cache, k, &c);
+        alloc(&mut cache, k, &c);
+        assert_eq!(u.state(k).unwrap().alloc_count, 3);
+        alloc(&mut cache, k, &c);
+        assert_eq!(cache.stats().hits, 2);
+        assert_eq!(
+            cache.dirty,
+            vec![k],
+            "one listing however often pending restarts"
+        );
+        // The bump is seen on another key's allocation: the second
+        // pending hit is absorbed, and only once.
+        u.on_watched(k);
+        alloc(&mut cache, kb, &cb);
+        assert_eq!(cache.stats().invalidations, 1);
+        assert_eq!(u.state(k).unwrap().alloc_count, 4);
+        assert!(cache.dirty.is_empty());
+        // The outdated entry is still in the table but is a miss.
+        assert_eq!(cache.len(), 2);
+        let misses = cache.stats().misses;
+        let halved = u.probability_ppm(k).unwrap();
+        let d = alloc(&mut cache, k, &c);
+        assert_eq!(cache.stats().misses, misses + 1);
+        assert_eq!(
+            d.probability_ppm, halved,
+            "served from the table, not the stale entry"
+        );
+        assert_eq!(u.state(k).unwrap().alloc_count, 5);
+        // A hit on the fresh entry, then flush: everything accounted
+        // for, table empty.
+        alloc(&mut cache, k, &c);
+        cache.flush(&u);
+        assert!(cache.is_empty());
+        assert!(cache.dirty.is_empty());
+        assert_eq!(u.state(k).unwrap().alloc_count, 6);
+        assert_eq!(u.state(kb).unwrap().alloc_count, 1);
+    }
+
+    #[test]
+    fn burst_entry_on_a_refresh_miss_keeps_later_hits_accounted() {
+        let frames = FrameTable::new();
+        let u = SamplingUnit::new(SamplingParams {
+            burst_threshold: 3,
+            ..SamplingParams::default()
+        });
+        let mut rng = Arc4Random::from_seed(1, 0);
+        let mut cache = DecisionCache::new(2);
+        let (k, c) = fixtures(&frames, "bursty");
+        // Miss, hit, miss, hit, then the refresh miss at allocation 5
+        // carries the window past the threshold: burst entry bumps the
+        // epoch inside the miss, and the invalidation empties the list.
+        let mut entered = false;
+        for _ in 0..5 {
+            let d = cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+                ContextJudgment::clear()
+            });
+            entered |= d.entered_burst;
+        }
+        assert!(entered, "the fifth allocation enters the burst");
+        assert!(cache.dirty.is_empty());
+        assert_eq!(u.state(k).unwrap().alloc_count, 5);
+        // The next hit must list the key again, so flush absorbs it.
+        let hits = cache.stats().hits;
+        cache.on_allocation(&u, k, VirtInstant::BOOT, &mut rng, &c, |_| {
+            ContextJudgment::clear()
+        });
+        assert_eq!(cache.stats().hits, hits + 1);
+        assert_eq!(cache.dirty, vec![k]);
+        cache.flush(&u);
+        assert!(cache.is_empty());
+        assert!(cache.dirty.is_empty());
+        assert_eq!(u.state(k).unwrap().alloc_count, 6);
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! replacement: linear probing over a power-of-two slot array, one
 //! multiply-and-shift hash ([`FastKey::fast_hash`], the `fxhash`
 //! recipe), and backward-shift deletion so heavy insert/remove churn
-//! (one per allocation lifetime) never accumulates tombstones.
+//! (one per allocation lifetime) never accumulates tombstones. The
+//! table grows before it is half full, which keeps probe runs short;
+//! callers with large values keep them out of line (the runtime's
+//! live-object records are a slab behind a `FastMap<u64, u32>` index),
+//! so an empty slot stays small.
 //!
 //! The map is deliberately minimal: `Copy + Eq` keys, no iteration
 //! order guarantees, no incremental shrinking. That is exactly what the
@@ -79,15 +83,6 @@ impl<K: FastKey, V> FastMap<K, V> {
         }
     }
 
-    /// Creates a map pre-sized for `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut map = FastMap::new();
-        if capacity > 0 {
-            map.rebuild((capacity * 8 / 7 + 1).next_power_of_two().max(Self::MIN_CAPACITY));
-        }
-        map
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.len
@@ -135,10 +130,13 @@ impl<K: FastKey, V> FastMap<K, V> {
         }
     }
 
+    /// Doubles the table before an insert could fill more than half of
+    /// it: at load 1/2 a linear-probe miss inspects ~2.5 slots on
+    /// average, at 7/8 it inspects ~32.
     fn grow_if_needed(&mut self) {
         if self.slots.is_empty() {
             self.rebuild(Self::MIN_CAPACITY);
-        } else if (self.len + 1) * 8 > self.slots.len() * 7 {
+        } else if (self.len + 1) * 2 > self.slots.len() {
             self.rebuild(self.slots.len() * 2);
         }
     }
@@ -244,16 +242,6 @@ impl<K: FastKey, V> FastMap<K, V> {
         }
     }
 
-    /// Drains every entry in unspecified order.
-    pub fn drain(&mut self, mut f: impl FnMut(K, V)) {
-        self.len = 0;
-        for slot in &mut self.slots {
-            if let Some((k, v)) = slot.take() {
-                f(k, v);
-            }
-        }
-    }
-
     /// Removes all entries, keeping the allocation.
     pub fn clear(&mut self) {
         self.len = 0;
@@ -336,25 +324,66 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_avoids_regrowth_for_each_and_drain() {
-        let mut m: FastMap<u64, u64> = FastMap::with_capacity(100);
+    fn for_each_visits_every_entry_and_clear_empties() {
+        let mut m: FastMap<u64, u64> = FastMap::new();
         for i in 0..100 {
             m.insert(i, i);
         }
         let mut sum = 0;
-        m.for_each(|_, v| sum += *v);
-        assert_eq!(sum, (0..100).sum::<u64>());
-        let mut drained = 0;
-        m.drain(|k, v| {
-            assert_eq!(k, v);
-            drained += 1;
+        m.for_each(|k, v| {
+            assert_eq!(k, *v);
+            sum += *v;
         });
-        assert_eq!(drained, 100);
-        assert!(m.is_empty());
-        m.insert(1, 1);
+        assert_eq!(sum, (0..100).sum::<u64>());
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.get(1), None);
+        m.insert(1, 1);
+        assert_eq!(m.get(1), Some(&1));
+    }
+
+    #[test]
+    fn matches_std_hashmap_under_churn_and_stays_half_loaded() {
+        use csod_rng::Arc4Random;
+        use std::collections::HashMap;
+        let mut rng = Arc4Random::from_seed(0xFA57, 0);
+        let mut m: FastMap<u64, u64> = FastMap::new();
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut peak_slots = 0;
+        // Keys from a small range so removes and replaces hit live
+        // entries; the insert bias grows the map through several
+        // doublings, the removes exercise backward shift in between.
+        for step in 0..40_000u64 {
+            let key = u64::from(rng.uniform(8_192)) * 16;
+            match rng.uniform(10) {
+                0..=5 => {
+                    assert_eq!(m.insert(key, step), model.insert(key, step));
+                    assert!(
+                        m.len() * 2 <= m.slots.len(),
+                        "{} entries in {} slots",
+                        m.len(),
+                        m.slots.len()
+                    );
+                }
+                6..=8 => assert_eq!(m.remove(key), model.remove(&key)),
+                _ => assert_eq!(m.get(key), model.get(&key)),
+            }
+            assert_eq!(m.len(), model.len());
+            peak_slots = peak_slots.max(m.slots.len());
+        }
+        assert!(
+            peak_slots >= 8_192,
+            "churn grew the table through several steps"
+        );
+        for (&k, v) in &model {
+            assert_eq!(m.get(k), Some(v), "key {k:#x} lost");
+        }
+        let mut seen = 0;
+        m.for_each(|k, v| {
+            assert_eq!(model.get(&k), Some(v));
+            seen += 1;
+        });
+        assert_eq!(seen, model.len());
     }
 
     #[test]

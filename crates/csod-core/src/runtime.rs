@@ -96,6 +96,59 @@ struct AllocationRecord {
     mitigated: bool,
 }
 
+/// The live-object records: a dense slab with a free list, found
+/// through a user-pointer index. The index's slots hold only a pointer
+/// and a slab position, so its half-load headroom stays small however
+/// large a record grows.
+#[derive(Debug, Default)]
+struct LiveRecords {
+    index: FastMap<u64, u32>,
+    slab: Vec<AllocationRecord>,
+    /// Slab positions whose record was removed, reused first.
+    free: Vec<u32>,
+}
+
+impl LiveRecords {
+    fn insert(&mut self, record: AllocationRecord) {
+        let at = if let Some(at) = self.free.pop() {
+            self.slab[at as usize] = record;
+            at
+        } else {
+            let at = u32::try_from(self.slab.len()).expect("fewer than 2^32 live objects");
+            self.slab.push(record);
+            at
+        };
+        if let Some(replaced) = self.index.insert(record.user.as_u64(), at) {
+            self.free.push(replaced);
+        }
+    }
+
+    fn get(&self, user: VirtAddr) -> Option<&AllocationRecord> {
+        self.index
+            .get(user.as_u64())
+            .map(|&at| &self.slab[at as usize])
+    }
+
+    fn contains(&self, user: VirtAddr) -> bool {
+        self.index.contains(user.as_u64())
+    }
+
+    fn remove(&mut self, user: VirtAddr) -> Option<AllocationRecord> {
+        let at = self.index.remove(user.as_u64())?;
+        self.free.push(at);
+        Some(self.slab[at as usize])
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Visits every live record in the index's order.
+    fn for_each(&self, mut f: impl FnMut(&AllocationRecord)) {
+        self.index.for_each(|_, &at| f(&self.slab[at as usize]));
+    }
+}
+
 /// Aggregate counters for the evaluation tables.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CsodStats {
@@ -244,7 +297,7 @@ pub struct Csod {
     /// (or immediately after a probability-changing event).
     caches: Vec<DecisionCache>,
     /// Live objects keyed by user pointer — probed on every free.
-    records: FastMap<u64, AllocationRecord>,
+    records: LiveRecords,
     /// Full calling contexts behind workload site tokens.
     sites: FastMap<u64, CallingContext>,
     reports: Vec<OverflowReport>,
@@ -386,7 +439,7 @@ impl Csod {
             flushed_on_drop,
             rngs: RngSlots::new(config.seed),
             caches: Vec::new(),
-            records: FastMap::new(),
+            records: LiveRecords::default(),
             sites: FastMap::new(),
             reports: Vec::new(),
             reported: HashSet::new(),
@@ -634,7 +687,7 @@ impl Csod {
     ) -> Result<VirtAddr, CsodError> {
         let old = *self
             .records
-            .get(user.as_u64())
+            .get(user)
             .ok_or(CsodError::UnknownPointer(user))?;
         let new_user = self.malloc(machine, heap, tid, new_size, key, ctx)?;
         // Object sizes fit the host address space; a saturated copy
@@ -771,7 +824,7 @@ impl Csod {
                 }
             }
         }
-        self.records.insert(record.user.as_u64(), record);
+        self.records.insert(record);
     }
 
     /// One gated install attempt, reporting the outcome back to the
@@ -842,7 +895,7 @@ impl Csod {
     fn retry_installs<B: Backend>(&mut self, machine: &mut B) {
         let due = self.degradation.due_retries(machine.now());
         for (candidate, attempts) in due {
-            if !self.records.contains(candidate.object_start.as_u64())
+            if !self.records.contains(candidate.object_start)
                 || self.watchpoints.is_watched(candidate.object_start)
             {
                 continue;
@@ -873,7 +926,7 @@ impl Csod {
     ) -> Result<(), CsodError> {
         let record = self
             .records
-            .remove(user.as_u64())
+            .remove(user)
             .ok_or(CsodError::UnknownPointer(user))?;
         self.stats.frees += 1;
 
@@ -1074,7 +1127,7 @@ impl Csod {
         // allocation calling context plus the access coordinates the
         // Figure-6 text cannot carry.
         let now = machine.now();
-        let record = self.records.get(object_start.as_u64()).copied();
+        let record = self.records.get(object_start).copied();
         let requested = record.map_or(0, |r| r.requested);
         self.pipeline.emit(TrapReport {
             method: DetectionMethod::Watchpoint,
@@ -1207,7 +1260,7 @@ impl Csod {
             return;
         }
         let mut records: Vec<AllocationRecord> = Vec::with_capacity(self.records.len());
-        self.records.for_each(|_, r| records.push(*r));
+        self.records.for_each(|r| records.push(*r));
         for record in records {
             machine.charge_tool(machine.tool_costs().canary_check);
             if let Ok(CanaryStatus::Corrupted { .. }) = self.canary.check(machine, record.canary_addr)
@@ -1390,7 +1443,7 @@ impl Csod {
 
     /// The requested size of the live CSOD-managed object at `user`.
     pub fn object_size(&self, user: VirtAddr) -> Option<u64> {
-        self.records.get(user.as_u64()).map(|r| r.requested)
+        self.records.get(user).map(|r| r.requested)
     }
 
     /// Aggregate decision-cache counters across all threads.

@@ -11,7 +11,7 @@ use crate::recorder::{FlightRecorder, LogEvent};
 use crate::signal::{Signal, SignalInfo, SiteToken};
 use crate::thread::{ThreadError, ThreadId, ThreadRegistry};
 use crate::trace::TraceSegment;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A deterministic simulated machine.
 ///
@@ -62,7 +62,10 @@ pub struct Machine {
     threads: ThreadRegistry,
     perf: PerfSubsystem,
     pending: VecDeque<SignalInfo>,
-    current_site: HashMap<ThreadId, SiteToken>,
+    /// The statement each thread is executing, indexed by the dense
+    /// thread id; [`SiteToken::UNKNOWN`] for exited and never-declared
+    /// threads.
+    current_site: Vec<SiteToken>,
     traps_fired: u64,
     /// PMU access-sampling: sample every Nth application access.
     pmu_period: Option<u64>,
@@ -139,7 +142,7 @@ impl Machine {
             threads: ThreadRegistry::new(),
             perf: PerfSubsystem::new(),
             pending: VecDeque::new(),
-            current_site: HashMap::new(),
+            current_site: Vec::new(),
             traps_fired: 0,
             pmu_period: None,
             pmu_countdown: 0,
@@ -575,12 +578,16 @@ impl Machine {
     /// Declares the statement `tid` is currently executing; carried into
     /// any signal raised by that thread's accesses.
     pub fn set_current_site(&mut self, tid: ThreadId, site: SiteToken) {
-        self.current_site.insert(tid, site);
+        let at = tid.as_u32() as usize;
+        if self.current_site.len() <= at {
+            self.current_site.resize(at + 1, SiteToken::UNKNOWN);
+        }
+        self.current_site[at] = site;
     }
 
     fn site_of(&self, tid: ThreadId) -> SiteToken {
         self.current_site
-            .get(&tid)
+            .get(tid.as_u32() as usize)
             .copied()
             .unwrap_or(SiteToken::UNKNOWN)
     }
@@ -603,7 +610,9 @@ impl Machine {
         self.threads.exit(tid)?;
         self.bump_watch_generation();
         self.perf.on_thread_exit(tid);
-        self.current_site.remove(&tid);
+        if let Some(site) = self.current_site.get_mut(tid.as_u32() as usize) {
+            *site = SiteToken::UNKNOWN;
+        }
         self.record(LogEvent::ThreadExit { thread: tid });
         Ok(())
     }
@@ -952,7 +961,7 @@ impl Machine {
             .fill_spans(&seg.write_spans, 0xA5)
             .expect("spans checked mapped above");
         let last = seg.steps.last().expect("compiled segments are non-empty");
-        self.current_site.insert(seg.thread, last.site);
+        self.set_current_site(seg.thread, last.site);
         true
     }
 
@@ -1043,6 +1052,25 @@ mod tests {
         assert_eq!(s.access, AccessKind::Read);
         assert_eq!(m.traps_fired(), 1);
         assert!(!m.has_pending_signals(), "take_signals drains the queue");
+    }
+
+    #[test]
+    fn site_of_exited_and_unseen_threads_is_unknown() {
+        let mut m = Machine::new();
+        let t1 = m.spawn_thread();
+        let t2 = m.spawn_thread();
+        m.set_current_site(ThreadId::MAIN, SiteToken(1));
+        m.set_current_site(t2, SiteToken(2));
+        assert_eq!(m.site_of(t1), SiteToken::UNKNOWN, "spawned, never declared");
+        assert_eq!(m.site_of(t2), SiteToken(2));
+        m.exit_thread(t2).unwrap();
+        assert_eq!(m.site_of(t2), SiteToken::UNKNOWN, "exited");
+        assert_eq!(
+            m.site_of(ThreadId::from_u32(1_000)),
+            SiteToken::UNKNOWN,
+            "unseen id"
+        );
+        assert_eq!(m.site_of(ThreadId::MAIN), SiteToken(1));
     }
 
     #[test]

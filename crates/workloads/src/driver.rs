@@ -240,8 +240,8 @@ pub struct TraceRunner<'r> {
     threads: Vec<ThreadId>,
     slots: Vec<Option<(VirtAddr, u64)>>,
     /// Last freed occupant of each slot (address, size) for
-    /// use-after-free events.
-    ghosts: std::collections::HashMap<usize, (VirtAddr, u64)>,
+    /// use-after-free events, indexed like `slots`.
+    ghosts: Vec<Option<(VirtAddr, u64)>>,
     replay: ReplayParams,
     /// The segment cache; `None` when replay is off or the tool cannot
     /// execute cached (ASan, Sampler).
@@ -341,7 +341,7 @@ impl<'r> TraceRunner<'r> {
             tool_label,
             threads: vec![ThreadId::MAIN],
             slots: Vec::new(),
-            ghosts: std::collections::HashMap::new(),
+            ghosts: Vec::new(),
             replay,
             cache,
             pending: Vec::new(),
@@ -395,7 +395,7 @@ impl<'r> TraceRunner<'r> {
             Event::DanglingAccess { slot, kind, .. } => {
                 self.flush_pending();
                 if kind == AccessKind::Write {
-                    if let Some((addr, size)) = self.ghosts.get(&slot).copied() {
+                    if let Some((addr, size)) = self.ghost(slot) {
                         self.cache_mut()
                             .invalidate_overlapping(AddrRange::new(addr, size.max(1)));
                     }
@@ -461,7 +461,10 @@ impl<'r> TraceRunner<'r> {
                     return;
                 };
                 self.slots[slot] = None;
-                self.ghosts.insert(slot, (addr, size));
+                if self.ghosts.len() <= slot {
+                    self.ghosts.resize(slot + 1, None);
+                }
+                self.ghosts[slot] = Some((addr, size));
                 match &mut self.tool {
                     ToolState::Baseline => {
                         self.heap
@@ -549,7 +552,7 @@ impl<'r> TraceRunner<'r> {
                 kind,
                 site,
             } => {
-                let Some(&(addr, size)) = self.ghosts.get(&slot) else {
+                let Some((addr, size)) = self.ghost(slot) else {
                     return;
                 };
                 let offset = offset.min(size.saturating_sub(1));
@@ -773,6 +776,10 @@ impl<'r> TraceRunner<'r> {
         self.slots.get(slot).copied().flatten()
     }
 
+    fn ghost(&self, slot: usize) -> Option<(VirtAddr, u64)> {
+        self.ghosts.get(slot).copied().flatten()
+    }
+
     /// Executes every event of `trace` and finishes the run.
     pub fn run(mut self, trace: impl IntoIterator<Item = Event>) -> RunOutcome {
         for event in trace {
@@ -984,6 +991,68 @@ mod tests {
         let outcome = TraceRunner::new(&reg, ToolSpec::Csod(CsodConfig::default())).run(trace);
         assert!(!outcome.detected);
         assert_eq!(outcome.allocations, 0);
+    }
+
+    #[test]
+    fn dangling_access_hits_the_last_freed_occupant() {
+        let reg = registry();
+        let mut runner = TraceRunner::new(
+            &reg,
+            ToolSpec::Asan {
+                config: AsanConfig::default(),
+                instrumented: vec!["demo".into()],
+            },
+        );
+        runner.step(&Event::malloc(0, 64, 0));
+        let (first, _) = runner.slot(0).expect("slot 0 allocated");
+        runner.step(&Event::free(0));
+        runner.step(&Event::malloc(1, 64, 0));
+        let (second, _) = runner.slot(0).expect("slot 0 re-allocated");
+        assert_ne!(
+            first, second,
+            "the quarantine keeps the first block out of reuse"
+        );
+        runner.step(&Event::free(0));
+        assert_eq!(runner.ghost(0), Some((second, 64)));
+        let outcome = runner.run([Event::DanglingAccess {
+            thread: 0,
+            slot: 0,
+            offset: 8,
+            kind: AccessKind::Read,
+            site: SiteToken(0),
+        }]);
+        assert_eq!(outcome.reports.len(), 1);
+        assert!(
+            outcome.reports[0].contains(&(second + 8).to_string()),
+            "report {} names the second occupant {second}",
+            outcome.reports[0]
+        );
+    }
+
+    #[test]
+    fn slots_far_beyond_any_seen_are_ignored() {
+        let reg = registry();
+        let far = 1 << 40;
+        let mut runner = TraceRunner::new(&reg, ToolSpec::Csod(CsodConfig::default()));
+        for event in [
+            Event::malloc(0, 64, 0),
+            Event::free(0),
+            Event::free(far),
+            Event::DanglingAccess {
+                thread: 0,
+                slot: far,
+                offset: 0,
+                kind: AccessKind::Write,
+                site: SiteToken(0),
+            },
+            Event::overflow(far, AccessKind::Write, SiteToken(0)),
+        ] {
+            runner.step(&event);
+        }
+        assert_eq!(runner.ghosts.len(), 1, "a miss never grows the ghost table");
+        let outcome = runner.run([]);
+        assert!(!outcome.detected);
+        assert_eq!(outcome.allocations, 1);
     }
 
     #[test]
