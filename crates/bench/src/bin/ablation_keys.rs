@@ -9,10 +9,11 @@
 //! and measures the detection-probability damage, plus verifies that the
 //! failure report still shows the correct overflow site.
 
-use csod_bench::{header, parallel_map, row, runs_arg};
+use csod_bench::{cores, header, row, runs_arg};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
 use csod_rng::Arc4Random;
 use csod_core::{ContextJudgment, SamplingUnit};
+use csod_fleet::par::run_parallel;
 use sim_machine::VirtInstant;
 
 /// Detection-probability proxy: the probability the sampler assigns the
@@ -58,6 +59,7 @@ fn decisive_probability(collide: bool, hot_allocs: u64, seed: u64) -> f64 {
 
 fn main() {
     let runs = runs_arg(100);
+    let seeds: Vec<u64> = (0..runs as u64).collect();
     header("Ablation: (first-level site, stack offset) key collisions");
     let widths = [22, 14, 14, 10];
     println!(
@@ -74,7 +76,7 @@ fn main() {
     );
     for hot_allocs in [0u64, 10, 100, 1_000, 10_000] {
         let avg = |collide: bool| {
-            parallel_map(runs, |seed| decisive_probability(collide, hot_allocs, seed as u64))
+            run_parallel(&seeds, cores(), |&seed| decisive_probability(collide, hot_allocs, seed))
                 .iter()
                 .sum::<f64>()
                 / runs as f64

@@ -6,29 +6,31 @@
 //! hardest workloads (Heartbleed and MySQL, near-FIFO policy) to show
 //! where the defaults sit on the curve.
 
-use csod_bench::{header, parallel_map, row, runs_arg};
+use csod_bench::{cores, header, row, runs_arg};
 use csod_core::{CsodConfig, ReplacementPolicy, SamplingParams};
+use csod_fleet::par::run_parallel;
 use csod_rng::PPM_SCALE;
 use workloads::{BuggyApp, ToolSpec, TraceRunner};
 
-fn detection_rate(app: &BuggyApp, params: SamplingParams, runs: usize) -> f64 {
+fn detection_rate(app: &BuggyApp, params: SamplingParams, seeds: &[u64]) -> f64 {
     let registry = app.registry();
     let trace = app.trace(42);
-    let detections: usize = parallel_map(runs, |seed| {
+    let detections: usize = run_parallel(seeds, cores(), |&seed| {
         let mut config = CsodConfig::with_policy(ReplacementPolicy::NearFifo);
         config.sampling = params;
-        config.seed = seed as u64;
+        config.seed = seed;
         let outcome =
             TraceRunner::new(&registry, ToolSpec::Csod(config)).run(trace.iter().copied());
         usize::from(outcome.watchpoint_detected)
     })
     .into_iter()
     .sum();
-    detections as f64 / runs as f64
+    detections as f64 / seeds.len() as f64
 }
 
 fn main() {
     let runs = runs_arg(200);
+    let seeds: Vec<u64> = (0..runs as u64).collect();
     let apps: Vec<BuggyApp> = ["heartbleed", "mysql"]
         .iter()
         .map(|n| BuggyApp::by_name(n).expect("known app"))
@@ -52,7 +54,7 @@ fn main() {
         };
         let cells: Vec<String> = apps
             .iter()
-            .map(|a| format!("{:.1}%", 100.0 * detection_rate(a, params, runs)))
+            .map(|a| format!("{:.1}%", 100.0 * detection_rate(a, params, &seeds)))
             .collect();
         println!(
             "{}",
@@ -82,7 +84,7 @@ fn main() {
         };
         let cells: Vec<String> = apps
             .iter()
-            .map(|a| format!("{:.1}%", 100.0 * detection_rate(a, params, runs)))
+            .map(|a| format!("{:.1}%", 100.0 * detection_rate(a, params, &seeds)))
             .collect();
         println!(
             "{}",
@@ -105,7 +107,7 @@ fn main() {
         };
         let cells: Vec<String> = apps
             .iter()
-            .map(|a| format!("{:.1}%", 100.0 * detection_rate(a, params, runs)))
+            .map(|a| format!("{:.1}%", 100.0 * detection_rate(a, params, &seeds)))
             .collect();
         println!(
             "{}",
@@ -128,7 +130,7 @@ fn main() {
         };
         let cells: Vec<String> = apps
             .iter()
-            .map(|a| format!("{:.1}%", 100.0 * detection_rate(a, params, runs)))
+            .map(|a| format!("{:.1}%", 100.0 * detection_rate(a, params, &seeds)))
             .collect();
         println!(
             "{}",

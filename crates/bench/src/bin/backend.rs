@@ -11,184 +11,45 @@
 //! cargo run --release -p csod-bench --bin backend -- --check BENCH_backend.json
 //! ```
 //!
-//! `--check <baseline>` re-runs the measurements and exits non-zero when
-//! a tracked null-backend metric regressed to more than twice the
-//! committed baseline — the CI backend gate.
+//! `--check` fails when a null-backend metric regressed past its
+//! ceiling (`csod_bench::specs::BACKEND`) — the CI backend gate.
 
-use csod_core::{Backend, Csod, CsodConfig, HeapBackend, NullBackend, NullHeap};
-use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use csod_bench::harness::{self, alloc_free_rounds, Metrics, ROUND_ALLOCS};
+use csod_bench::specs;
+use csod_core::{CsodConfig, NullBackend, NullHeap};
 use sim_heap::{HeapConfig, SimHeap};
-use sim_machine::{Machine, ThreadId};
-use std::sync::Arc;
-use std::time::Instant;
+use sim_machine::Machine;
 
-/// Contexts cycled through: enough to exercise the sampling table, few
-/// enough that each stays hot.
-const CONTEXTS: usize = 64;
-/// Live objects per timed round.
-const ROUND_ALLOCS: usize = 8_192;
-/// Timed rounds (the fastest is reported, Criterion-style).
-const ROUNDS: usize = 12;
-/// Allowed slowdown versus the committed baseline before `--check` fails.
-const REGRESSION_FACTOR: f64 = 2.0;
-
-fn contexts(frames: &FrameTable) -> Vec<(ContextKey, CallingContext)> {
-    (0..CONTEXTS)
-        .map(|i| {
-            let ctx = CallingContext::from_locations(
-                frames,
-                [format!("hot_{i}.c:1").as_str(), "driver.c:7", "main.c:1"],
-            );
-            (ContextKey::new(ctx.first_level().expect("non-empty"), 0x40), ctx)
-        })
-        .collect()
-}
-
-/// ns/alloc and ns/free of the full runtime over any backend/heap pair.
-/// Identical driving code for both substrates — that is the point: the
-/// difference between the two results *is* the substrate.
-fn runtime_pair<B: Backend>(
-    backend: &mut B,
-    heap: &mut impl HeapBackend<B>,
-) -> (f64, f64) {
-    let frames = Arc::new(FrameTable::new());
-    let mut csod = Csod::new(CsodConfig::default(), Arc::clone(&frames));
-    let sites = contexts(&frames);
-
-    let mut best_alloc = f64::INFINITY;
-    let mut best_free = f64::INFINITY;
-    let mut ptrs = Vec::with_capacity(ROUND_ALLOCS);
-    // One untimed warm-up round settles first-sight interning and the
-    // initial flurry of watch installs.
-    for round in 0..=ROUNDS {
-        let start = Instant::now();
-        for i in 0..ROUND_ALLOCS {
-            let (key, ctx) = &sites[i % CONTEXTS];
-            let p = csod
-                .malloc(backend, heap, ThreadId::MAIN, 16, *key, ctx)
-                .expect("heap has room");
-            ptrs.push(p);
-        }
-        let alloc_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        let start = Instant::now();
-        for p in ptrs.drain(..) {
-            csod.free(backend, heap, ThreadId::MAIN, p)
-                .expect("was allocated");
-        }
-        let free_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        csod.poll(backend);
-        if round > 0 {
-            best_alloc = best_alloc.min(alloc_ns);
-            best_free = best_free.min(free_ns);
-        }
-    }
-    csod.finish(backend);
-    (best_alloc, best_free)
-}
-
-struct Results {
-    metrics: Vec<(&'static str, f64)>,
-}
-
-impl Results {
-    fn get(&self, key: &str) -> f64 {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metric {key} missing"))
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v:.2}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-fn measure() -> Results {
+/// Both substrates run the identical driving code, polling between
+/// rounds — that is the point: the difference between the two results
+/// *is* the substrate.
+fn measure() -> Metrics {
     eprintln!("backend bench: runtime over the null backend (ceiling)...");
     let mut null = NullBackend::new();
     let mut null_heap = NullHeap::new();
-    let (na, nf) = runtime_pair(&mut null, &mut null_heap);
+    let [na, nf] =
+        alloc_free_rounds(CsodConfig::default(), &mut null, &mut null_heap, |c, b| c.poll(b));
 
     eprintln!("backend bench: runtime over the simulator...");
     let mut machine = Machine::new();
     let mut sim_heap = SimHeap::new(&mut machine, HeapConfig::default()).expect("fresh heap");
-    let (sa, sf) = runtime_pair(&mut machine, &mut sim_heap);
+    let [sa, sf] =
+        alloc_free_rounds(CsodConfig::default(), &mut machine, &mut sim_heap, |c, m| c.poll(m));
 
-    Results {
-        metrics: vec![
-            ("round_allocs", ROUND_ALLOCS as f64),
-            ("null_ns_per_alloc", na),
-            ("null_ns_per_free", nf),
-            ("sim_ns_per_alloc", sa),
-            ("sim_ns_per_free", sf),
-            // How much the simulated substrate costs on top of the pure
-            // decision path — the headroom a real backend has to play
-            // with before it, not CSOD, dominates.
-            ("sim_over_null_alloc", sa / na),
-            ("sim_over_null_free", sf / nf),
-        ],
-    }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON — the file is
-/// written by this binary, so a full parser would be overkill.
-fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    vec![
+        ("round_allocs", ROUND_ALLOCS as f64),
+        ("null_ns_per_alloc", na),
+        ("null_ns_per_free", nf),
+        ("sim_ns_per_alloc", sa),
+        ("sim_ns_per_free", sf),
+        // How much the simulated substrate costs on top of the pure
+        // decision path — the headroom a real backend has to play
+        // with before it, not CSOD, dominates.
+        ("sim_over_null_alloc", sa / na),
+        ("sim_over_null_free", sf / nf),
+    ]
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let results = measure();
-    println!("\n=== backend ceiling ===");
-    for (k, v) in &results.metrics {
-        println!("{k:>24}  {v:10.2}");
-    }
-
-    let check_pos = args.iter().position(|a| a == "--check");
-    let mut failed = false;
-    if let Some(pos) = check_pos {
-        let baseline_path = args.get(pos + 1).map_or("BENCH_backend.json", |s| s.as_str());
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        for key in ["null_ns_per_alloc", "null_ns_per_free"] {
-            let base = extract(&baseline, key)
-                .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-            let fresh = results.get(key);
-            let verdict = if fresh > base * REGRESSION_FACTOR {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!("check {key}: {fresh:.2} vs baseline {base:.2} ({verdict})");
-        }
-        if !failed {
-            println!("backend ceiling smoke passed");
-        }
-    }
-    // `--out` combines with `--check`: CI gates and refreshes the
-    // artifact in one run.
-    if check_pos.is_none() || args.iter().any(|a| a == "--out") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|p| args.get(p + 1).cloned())
-            .unwrap_or_else(|| "BENCH_backend.json".into());
-        std::fs::write(&out, results.to_json()).expect("baseline written");
-        println!("wrote {out}");
-    }
-    if failed {
-        eprintln!("backend smoke FAILED: null-backend ceiling slower than {REGRESSION_FACTOR}x baseline");
-        std::process::exit(1);
-    }
+    harness::run(&specs::BACKEND, measure);
 }

@@ -17,21 +17,22 @@
 //! cargo run --release -p csod-bench --bin bench_analyze -- --check BENCH_analyze.json
 //! ```
 //!
-//! `--check <baseline>` re-runs the sweep and exits non-zero when the
-//! precision gates fail (no unknown reduction, a certificate violation)
-//! or the sweep slowed to more than twice the committed baseline.
+//! Every run fails when a precision invariant breaks (no unknown
+//! reduction, no certificate, a certificate violation); `--check` also
+//! fails when the sweep slowed past its ceiling
+//! (`csod_bench::specs::ANALYZE`).
 
 use csod_analyze::{analyze_detailed, verify_certificates, DEFAULT_K};
+use csod_bench::harness::{self, best_of, Metrics};
+use csod_bench::specs;
 use csod_core::RiskClass;
 use std::time::Instant;
 use workloads::{BuggyApp, CallSensitiveApp, Event, FuzzWorkload, SiteRegistry};
 
 /// Fuzz seeds swept (each analyzed with and without an injected bug).
 const FUZZ_SEEDS: u64 = 32;
-/// Timed sweeps per k; the fastest is reported, Criterion-style.
+/// Timed sweeps per k; the fastest is reported (see [`best_of`]).
 const ROUNDS: usize = 3;
-/// Allowed slowdown versus the committed baseline before `--check` fails.
-const REGRESSION_FACTOR: f64 = 2.0;
 
 /// One corpus entry: a registry and a trace to analyze.
 struct Workload {
@@ -67,7 +68,7 @@ fn corpus() -> Vec<Workload> {
     all
 }
 
-/// Aggregate of one full-corpus sweep at a fixed k.
+/// Aggregate of one timed full-corpus sweep at a fixed k.
 #[derive(Default)]
 struct Sweep {
     rows: u64,
@@ -78,15 +79,14 @@ struct Sweep {
     certified_accesses: u64,
     summary_reuses: u64,
     certificate_violations: u64,
-    best_ms: f64,
+    ms: f64,
 }
 
+/// The fastest of [`ROUNDS`] full-corpus sweeps at `k`, which must all
+/// agree.
 fn sweep(corpus: &[Workload], k: usize) -> Sweep {
-    let mut out = Sweep {
-        best_ms: f64::INFINITY,
-        ..Sweep::default()
-    };
-    for round in 0..ROUNDS {
+    let mut rows = None;
+    let once = || {
         let mut fresh = Sweep::default();
         let start = Instant::now();
         for w in corpus {
@@ -106,44 +106,14 @@ fn sweep(corpus: &[Workload], k: usize) -> Sweep {
             fresh.certificate_violations +=
                 verify_certificates(&w.trace, &analysis.certificates).len() as u64;
         }
-        fresh.best_ms = start.elapsed().as_secs_f64() * 1e3;
-        if round == 0 {
-            let ms = out.best_ms;
-            out = fresh;
-            out.best_ms = out.best_ms.min(ms);
-        } else {
-            assert_eq!(out.rows, fresh.rows, "analysis must be deterministic");
-            out.best_ms = out.best_ms.min(fresh.best_ms);
-        }
-    }
-    out
+        fresh.ms = start.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(*rows.get_or_insert(fresh.rows), fresh.rows, "analysis must be deterministic");
+        fresh
+    };
+    best_of(ROUNDS, once, |s| s.ms)
 }
 
-struct Results {
-    metrics: Vec<(&'static str, f64)>,
-}
-
-impl Results {
-    fn get(&self, key: &str) -> f64 {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metric {key} missing"))
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v:.2}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-fn measure() -> Results {
+fn measure() -> Metrics {
     let corpus = corpus();
     eprintln!(
         "analyze bench: {} workloads, context-blind sweep (k = 0)...",
@@ -159,103 +129,30 @@ fn measure() -> Results {
             part as f64 * 100.0 / whole as f64
         }
     };
-    Results {
-        metrics: vec![
-            ("corpus_analyses", corpus.len() as f64),
-            ("k_default", DEFAULT_K as f64),
-            ("verdict_rows_k0", k0.rows as f64),
-            ("unknown_rows_k0", k0.unknown as f64),
-            ("unknown_pct_k0", pct(k0.unknown, k0.rows)),
-            ("suspicious_rows_k0", k0.suspicious as f64),
-            ("verdict_rows_k2", kd.rows as f64),
-            ("unknown_rows_k2", kd.unknown as f64),
-            ("unknown_pct_k2", pct(kd.unknown, kd.rows)),
-            ("suspicious_rows_k2", kd.suspicious as f64),
-            ("contexts_k2", kd.contexts as f64),
-            ("summary_reuses_k2", kd.summary_reuses as f64),
-            ("certificates_k2", kd.certificates as f64),
-            ("certified_accesses_k2", kd.certified_accesses as f64),
-            (
-                "certificate_violations",
-                (k0.certificate_violations + kd.certificate_violations) as f64,
-            ),
-            ("analyze_ms_k0", k0.best_ms),
-            ("analyze_ms_k2", kd.best_ms),
-        ],
-    }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON — the file is
-/// written by this binary, so a full parser would be overkill.
-fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    vec![
+        ("corpus_analyses", corpus.len() as f64),
+        ("k_default", DEFAULT_K as f64),
+        ("verdict_rows_k0", k0.rows as f64),
+        ("unknown_rows_k0", k0.unknown as f64),
+        ("unknown_pct_k0", pct(k0.unknown, k0.rows)),
+        ("suspicious_rows_k0", k0.suspicious as f64),
+        ("verdict_rows_k2", kd.rows as f64),
+        ("unknown_rows_k2", kd.unknown as f64),
+        ("unknown_pct_k2", pct(kd.unknown, kd.rows)),
+        ("suspicious_rows_k2", kd.suspicious as f64),
+        ("contexts_k2", kd.contexts as f64),
+        ("summary_reuses_k2", kd.summary_reuses as f64),
+        ("certificates_k2", kd.certificates as f64),
+        ("certified_accesses_k2", kd.certified_accesses as f64),
+        (
+            "certificate_violations",
+            (k0.certificate_violations + kd.certificate_violations) as f64,
+        ),
+        ("analyze_ms_k0", k0.ms),
+        ("analyze_ms_k2", kd.ms),
+    ]
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let results = measure();
-    println!("\n=== static analysis precision (k = 0 vs k = {DEFAULT_K}) ===");
-    for (k, v) in &results.metrics {
-        println!("{k:>28}  {v:10.2}");
-    }
-
-    let mut failed = false;
-    // Deterministic gates, baseline or not: the default k must strictly
-    // reduce unknowns, certify something, and never emit a certificate
-    // the reference interpreter refutes.
-    if results.get("unknown_rows_k2") >= results.get("unknown_rows_k0") {
-        eprintln!("FAIL: k = {DEFAULT_K} did not strictly reduce unknown rows");
-        failed = true;
-    }
-    if results.get("certificates_k2") == 0.0 {
-        eprintln!("FAIL: no safe-segment certificates emitted");
-        failed = true;
-    }
-    if results.get("certificate_violations") != 0.0 {
-        eprintln!("FAIL: the oracle refuted a certificate");
-        failed = true;
-    }
-
-    let check_pos = args.iter().position(|a| a == "--check");
-    if let Some(pos) = check_pos {
-        let baseline_path = args.get(pos + 1).map_or("BENCH_analyze.json", |s| s.as_str());
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let base_ms = extract(&baseline, "analyze_ms_k2")
-            .unwrap_or_else(|| panic!("baseline {baseline_path} lacks analyze_ms_k2"));
-        let fresh_ms = results.get("analyze_ms_k2");
-        let verdict = if fresh_ms > base_ms * REGRESSION_FACTOR {
-            failed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!("check analyze_ms_k2: {fresh_ms:.2} vs baseline {base_ms:.2} ({verdict})");
-        let base_unknown = extract(&baseline, "unknown_pct_k2").unwrap_or(100.0);
-        let fresh_unknown = results.get("unknown_pct_k2");
-        println!(
-            "check unknown_pct_k2: {fresh_unknown:.2} vs baseline {base_unknown:.2}"
-        );
-        if !failed {
-            println!("analyze precision gates passed");
-        }
-    }
-    // `--out` combines with `--check`: CI gates and refreshes the
-    // artifact in one run.
-    if check_pos.is_none() || args.iter().any(|a| a == "--out") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|p| args.get(p + 1).cloned())
-            .unwrap_or_else(|| "BENCH_analyze.json".into());
-        std::fs::write(&out, results.to_json()).expect("baseline written");
-        println!("wrote {out}");
-    }
-    if failed {
-        eprintln!("analyze bench FAILED: a precision or perf gate tripped");
-        std::process::exit(1);
-    }
+    harness::run(&specs::ANALYZE, measure);
 }

@@ -24,15 +24,16 @@
 //! cargo run --release -p csod-bench --bin bench_fleet -- --check BENCH_fleet.json
 //! ```
 //!
-//! `--check <baseline>` re-runs the measurements and exits non-zero when
-//! a tracked ms metric regressed to more than twice the committed
-//! baseline, or the merge speedup fell below the floor — the CI
-//! perf-smoke gate.
+//! `--check` fails when a tracked ms metric regressed past its ceiling
+//! or the merge speedup fell below its floor
+//! (`csod_bench::specs::FLEET`) — the CI perf-smoke gate.
 
+use csod_bench::harness::{self, best_of, fastest, Metrics};
+use csod_bench::specs;
 use csod_fleet::{ingest_parallel, ingest_serial, FleetStore, IngestOptions, SamplingBudget};
 use csod_persist::{RecordKind, Wal, WalRecord};
 use csod_rng::Arc4Random;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 use workloads::{run_fleet_round, FleetRoundConfig};
 
@@ -50,15 +51,10 @@ const CHUNK: usize = 32;
 const ROUND_PROCS: usize = 1000;
 /// Allocations per round-layer process.
 const ROUND_ALLOCS: u64 = 120;
-/// Timed rounds per scenario (the fastest is reported, Criterion-style).
+/// Timed rounds per scenario; see [`fastest`].
 const ROUNDS: usize = 3;
-/// Attempts per scenario; see `best_of`.
+/// Attempts per scenario; see [`best_of`].
 const ATTEMPTS: usize = 2;
-/// Allowed slowdown versus the committed baseline before `--check` fails.
-const REGRESSION_FACTOR: f64 = 2.0;
-/// `--check` also fails if the durable merge speedup drops below this
-/// floor: group-commit + fan-out must stay worth ≥4× over naive ingest.
-const SPEEDUP_FLOOR: f64 = 4.0;
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("csod-bench-fleet-{tag}-{}", std::process::id()))
@@ -67,7 +63,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// Writes the synthetic merge-layer fleet: every process logs a mix of
 /// fleet-wide hot signatures and one private signature, with kinds and
 /// boosts drawn deterministically from the process's seed.
-fn write_fleet(dir: &PathBuf) -> Vec<PathBuf> {
+fn write_fleet(dir: &Path) -> Vec<PathBuf> {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).expect("bench scratch dir is creatable");
     (0..MERGE_PROCS)
@@ -97,11 +93,9 @@ fn write_fleet(dir: &PathBuf) -> Vec<PathBuf> {
 
 /// `(serial_ms, parallel_ms, records)` for one durable ingest pair over
 /// the same WAL fleet, evidence-equality asserted.
-fn merge_pair(paths: &[PathBuf], dir: &PathBuf, durable: bool) -> (f64, f64, u64) {
-    let mut best_serial = f64::INFINITY;
-    let mut best_parallel = f64::INFINITY;
+fn merge_pair(paths: &[PathBuf], dir: &Path, durable: bool) -> (f64, f64, u64) {
     let mut records = 0;
-    for round in 0..=ROUNDS {
+    let [serial_ms, parallel_ms] = fastest(ROUNDS, || {
         let serial_store = FleetStore::new();
         let journal = dir.join("serial-journal.wal");
         let _ = std::fs::remove_file(&journal);
@@ -131,12 +125,9 @@ fn merge_pair(paths: &[PathBuf], dir: &PathBuf, durable: bool) -> (f64, f64, u64
             "batched merge must commit the identical fleet knowledge"
         );
         records = p.records;
-        if round > 0 {
-            best_serial = best_serial.min(serial_ms);
-            best_parallel = best_parallel.min(parallel_ms);
-        }
-    }
-    (best_serial, best_parallel, records)
+        [serial_ms, parallel_ms]
+    });
+    (serial_ms, parallel_ms, records)
 }
 
 /// `(round_ms, budget_ppm, avg_overhead, detections)` for one full
@@ -174,176 +165,40 @@ fn fleet_round() -> (f64, f64, f64, f64) {
     )
 }
 
-struct Results {
-    metrics: Vec<(&'static str, f64)>,
-}
-
-impl Results {
-    fn get(&self, key: &str) -> f64 {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metric {key} missing"))
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v:.2}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Minimum over [`ATTEMPTS`] runs of a scenario; each scenario already
-/// keeps its fastest round, so interference has to persist across the
-/// whole bench to inflate a metric.
-fn best_of<T, F: FnMut() -> (f64, T)>(mut f: F) -> (f64, T) {
-    let mut best = f();
-    for _ in 1..ATTEMPTS {
-        let next = f();
-        if next.0 < best.0 {
-            best = next;
-        }
-    }
-    best
-}
-
-fn measure() -> Results {
+fn measure() -> Metrics {
     let dir = scratch("merge");
     eprintln!(
         "fleet bench: writing {MERGE_PROCS} WALs x {RECORDS_PER_PROC} records..."
     );
     let paths = write_fleet(&dir);
     eprintln!("fleet bench: durable merge, serial journal vs group-commit...");
-    let (durable_parallel, (durable_serial, records)) = best_of(|| {
-        let (serial, parallel, records) = merge_pair(&paths, &dir, true);
-        (parallel, (serial, records))
-    });
+    let (durable_serial, durable_parallel, records) =
+        best_of(ATTEMPTS, || merge_pair(&paths, &dir, true), |r| r.1);
     eprintln!("fleet bench: in-memory merge (CPU half only)...");
-    let (mem_parallel, mem_serial) = best_of(|| {
-        let (serial, parallel, _) = merge_pair(&paths, &dir, false);
-        (parallel, serial)
-    });
+    let (mem_serial, mem_parallel, _) =
+        best_of(ATTEMPTS, || merge_pair(&paths, &dir, false), |r| r.1);
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!("fleet bench: {ROUND_PROCS}-process fleet round...");
-    let (round_ms, (budget_ppm, avg_overhead, detections)) = best_of(|| {
-        let (ms, ppm, overhead, det) = fleet_round();
-        (ms, (ppm, overhead, det))
-    });
-    Results {
-        metrics: vec![
-            ("merge_records", records as f64),
-            ("merge_serial_ms", durable_serial),
-            ("merge_parallel_ms", durable_parallel),
-            ("merge_parallel_speedup", durable_serial / durable_parallel),
-            ("merge_mem_serial_ms", mem_serial),
-            ("merge_mem_parallel_ms", mem_parallel),
-            (
-                "merge_records_per_sec",
-                records as f64 / (mem_parallel / 1e3),
-            ),
-            ("fleet_round_ms", round_ms),
-            ("fleet_round_processes", ROUND_PROCS as f64),
-            ("fleet_budget_ppm", budget_ppm),
-            ("fleet_avg_overhead", avg_overhead),
-            ("fleet_detections", detections),
-        ],
-    }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON — the file is
-/// written by this binary, so a full parser would be overkill.
-fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    let (round_ms, budget_ppm, avg_overhead, detections) = best_of(ATTEMPTS, fleet_round, |r| r.0);
+    vec![
+        ("merge_records", records as f64),
+        ("merge_serial_ms", durable_serial),
+        ("merge_parallel_ms", durable_parallel),
+        ("merge_parallel_speedup", durable_serial / durable_parallel),
+        ("merge_mem_serial_ms", mem_serial),
+        ("merge_mem_parallel_ms", mem_parallel),
+        (
+            "merge_records_per_sec",
+            records as f64 / (mem_parallel / 1e3),
+        ),
+        ("fleet_round_ms", round_ms),
+        ("fleet_round_processes", ROUND_PROCS as f64),
+        ("fleet_budget_ppm", budget_ppm),
+        ("fleet_avg_overhead", avg_overhead),
+        ("fleet_detections", detections),
+    ]
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let results = measure();
-    println!("\n=== fleet-scale trap aggregation ===");
-    for (k, v) in &results.metrics {
-        println!("{k:>28}  {v:12.2}");
-    }
-
-    let check_pos = args.iter().position(|a| a == "--check");
-    let mut best = results;
-    let mut failed = false;
-    if let Some(pos) = check_pos {
-        let baseline_path = args.get(pos + 1).map_or("BENCH_fleet.json", |s| s.as_str());
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let keys = ["merge_parallel_ms", "fleet_round_ms"];
-        // Interference can only inflate a wall-clock measurement, so a
-        // single observation under the threshold proves the code has
-        // not regressed. On an apparent failure, re-measure (twice at
-        // most) and keep each metric's best observation before ruling.
-        for retry in 0..=2 {
-            let bad = |r: &Results| {
-                r.get("merge_parallel_speedup") < SPEEDUP_FLOOR
-                    || keys.iter().any(|key| {
-                        let base = extract(&baseline, key)
-                            .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-                        r.get(key) > base * REGRESSION_FACTOR
-                    })
-            };
-            if !bad(&best) || retry == 2 {
-                break;
-            }
-            eprintln!("fleet bench: over threshold, re-measuring (noisy host?)...");
-            let again = measure();
-            for (k, v) in &mut best.metrics {
-                if k.ends_with("_ms") {
-                    *v = v.min(again.get(k));
-                } else if *k == "merge_parallel_speedup" {
-                    *v = v.max(again.get(k));
-                }
-            }
-        }
-        for key in keys {
-            let base = extract(&baseline, key)
-                .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-            let fresh = best.get(key);
-            let verdict = if fresh > base * REGRESSION_FACTOR {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!("check {key}: {fresh:.2} vs baseline {base:.2} ({verdict})");
-        }
-        let speedup = best.get("merge_parallel_speedup");
-        let verdict = if speedup < SPEEDUP_FLOOR {
-            failed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!("check merge_parallel_speedup: {speedup:.2} vs floor {SPEEDUP_FLOOR:.2} ({verdict})");
-        if !failed {
-            println!("perf smoke passed");
-        }
-    }
-    // `--out` combines with `--check`: CI gates and refreshes the
-    // artifact in one run. Without either flag the default path is
-    // written, preserving the baseline-refresh behaviour.
-    if check_pos.is_none() || args.iter().any(|a| a == "--out") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|p| args.get(p + 1).cloned())
-            .unwrap_or_else(|| "BENCH_fleet.json".into());
-        std::fs::write(&out, best.to_json()).expect("baseline written");
-        println!("wrote {out}");
-    }
-    if failed {
-        eprintln!("perf smoke FAILED: fleet merge below {SPEEDUP_FLOOR}x or slower than {REGRESSION_FACTOR}x baseline");
-        std::process::exit(1);
-    }
+    harness::run(&specs::FLEET, measure);
 }

@@ -23,11 +23,12 @@
 //! cargo run --release -p csod-bench --bin bench_replay -- --check BENCH_replay.json
 //! ```
 //!
-//! `--check <baseline>` re-runs the measurements and exits non-zero when
-//! a tracked ns metric regressed to more than twice the committed
-//! baseline, or the execution-layer speedup fell below the floor — the
-//! CI perf-smoke gate.
+//! `--check` fails when a tracked metric regressed past its ceiling or
+//! the execution-layer speedup fell below its floor
+//! (`csod_bench::specs::REPLAY`) — the CI perf-smoke gate.
 
+use csod_bench::harness::{self, best_of, fastest, Metrics};
+use csod_bench::specs;
 use csod_core::CsodConfig;
 use csod_ctx::FrameTable;
 use sim_machine::{
@@ -50,15 +51,10 @@ const WORKLOAD_OBJECTS: usize = 4;
 /// Hot-loop iterations of the workload trace; each touches one buffer
 /// with [`SEGMENT_LEN`] in-bounds accesses.
 const WORKLOAD_ITERATIONS: usize = 2_000;
-/// Timed rounds per scenario (the fastest is reported, Criterion-style).
+/// Timed rounds per scenario; see [`fastest`].
 const ROUNDS: usize = 8;
-/// Attempts per scenario; see `best_of`.
+/// Attempts per scenario; see [`best_of`].
 const ATTEMPTS: usize = 3;
-/// Allowed slowdown versus the committed baseline before `--check` fails.
-const REGRESSION_FACTOR: f64 = 2.0;
-/// `--check` also fails if the execution-layer speedup drops below this
-/// floor: the whole point of the engine is a ≥10× batched replay.
-const SPEEDUP_FLOOR: f64 = 10.0;
 
 /// Builds the 64-step read run the execution layer measures, over a
 /// mapped scratch region.
@@ -83,8 +79,7 @@ fn exec_pair() -> (f64, f64) {
     // Interpreted: the paper-faithful walk, one app_access per step.
     let mut m = Machine::new();
     m.map_region(base, 1 << 16, "scratch").expect("mapped");
-    let mut best_interp = f64::INFINITY;
-    for round in 0..=ROUNDS {
+    let [interp_ns] = fastest(ROUNDS, || {
         let start = Instant::now();
         for _ in 0..EXEC_RUNS {
             for step in &steps {
@@ -93,11 +88,8 @@ fn exec_pair() -> (f64, f64) {
                     .expect("in-bounds access");
             }
         }
-        let ns = start.elapsed().as_nanos() as f64 / (EXEC_RUNS * SEGMENT_LEN) as f64;
-        if round > 0 {
-            best_interp = best_interp.min(ns);
-        }
-    }
+        [start.elapsed().as_nanos() as f64 / (EXEC_RUNS * SEGMENT_LEN) as f64]
+    });
     let interp_counter = m.counter().accesses();
 
     // Replay: the same runs as compiled-segment applies.
@@ -105,23 +97,19 @@ fn exec_pair() -> (f64, f64) {
     m.map_region(base, 1 << 16, "scratch").expect("mapped");
     let seg = TraceSegment::compile(ThreadId::MAIN, m.watch_generation(), steps.clone())
         .expect("non-empty run");
-    let mut best_replay = f64::INFINITY;
-    for round in 0..=ROUNDS {
+    let [replay_ns] = fastest(ROUNDS, || {
         let start = Instant::now();
         for _ in 0..EXEC_RUNS {
             assert!(m.replay_segment(&seg), "segment stays replayable");
         }
-        let ns = start.elapsed().as_nanos() as f64 / (EXEC_RUNS * SEGMENT_LEN) as f64;
-        if round > 0 {
-            best_replay = best_replay.min(ns);
-        }
-    }
+        [start.elapsed().as_nanos() as f64 / (EXEC_RUNS * SEGMENT_LEN) as f64]
+    });
     assert_eq!(
         m.counter().accesses(),
         interp_counter,
         "replay must account the same accesses as interpretation"
     );
-    (best_interp, best_replay)
+    (interp_ns, replay_ns)
 }
 
 /// The server-style workload trace: hot in-bounds loops over long-lived
@@ -170,10 +158,8 @@ fn normalized(mut o: RunOutcome) -> RunOutcome {
 fn workload_pair(tool: &ToolSpec) -> (f64, f64, f64) {
     let reg = registry();
     let trace = workload_trace();
-    let mut best_interp = f64::INFINITY;
-    let mut best_cached = f64::INFINITY;
     let mut hit_rate = 0.0;
-    for round in 0..=ROUNDS {
+    let [interp_ms, cached_ms] = fastest(ROUNDS, || {
         let start = Instant::now();
         let interpreted = TraceRunner::with_replay(&reg, tool.clone(), ReplayParams::interpreted())
             .run(trace.iter().cloned());
@@ -199,177 +185,37 @@ fn workload_pair(tool: &ToolSpec) -> (f64, f64, f64) {
             "replay must be observationally invisible ({})",
             tool.label()
         );
-        if round > 0 {
-            best_interp = best_interp.min(interp_ms);
-            best_cached = best_cached.min(cached_ms);
-        }
-    }
-    (best_interp, best_cached, hit_rate)
+        [interp_ms, cached_ms]
+    });
+    (interp_ms, cached_ms, hit_rate)
 }
 
-struct Results {
-    metrics: Vec<(&'static str, f64)>,
-}
-
-impl Results {
-    fn get(&self, key: &str) -> f64 {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metric {key} missing"))
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v:.2}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Minimum over [`ATTEMPTS`] runs of a scenario; each scenario already
-/// keeps its fastest round, so interference has to persist across the
-/// whole bench to inflate a metric.
-fn best_of<T, F: FnMut() -> (f64, T)>(mut f: F) -> (f64, T) {
-    let mut best = f();
-    for _ in 1..ATTEMPTS {
-        let next = f();
-        if next.0 < best.0 {
-            best = next;
-        }
-    }
-    best
-}
-
-fn measure() -> Results {
+fn measure() -> Metrics {
     eprintln!("replay bench: execution layer, {SEGMENT_LEN}-access segments x {EXEC_RUNS} runs...");
     // Minimise the replay leg; its paired interpreter time rides along.
-    let (exec_replay, exec_interp) = best_of(|| {
-        let (interp, replay) = exec_pair();
-        (replay, interp)
-    });
+    let (exec_interp, exec_replay) = best_of(ATTEMPTS, exec_pair, |r| r.1);
     eprintln!(
         "replay bench: csod workload, {WORKLOAD_ITERATIONS} iterations x {SEGMENT_LEN} accesses..."
     );
     let csod = ToolSpec::Csod(CsodConfig::default());
-    let (csod_cached, (csod_interp, csod_hits)) = best_of(|| {
-        let (interp, cached, hits) = workload_pair(&csod);
-        (cached, (interp, hits))
-    });
+    let (csod_interp, csod_cached, csod_hits) = best_of(ATTEMPTS, || workload_pair(&csod), |r| r.1);
     eprintln!("replay bench: baseline workload...");
-    let (base_cached, (base_interp, _)) = best_of(|| {
-        let (interp, cached, hits) = workload_pair(&ToolSpec::Baseline);
-        (cached, (interp, hits))
-    });
-    Results {
-        metrics: vec![
-            ("exec_interpreted_ns_per_access", exec_interp),
-            ("exec_replay_ns_per_access", exec_replay),
-            ("exec_replay_speedup", exec_interp / exec_replay),
-            ("csod_interpreted_ms", csod_interp),
-            ("csod_cached_ms", csod_cached),
-            ("csod_replay_speedup", csod_interp / csod_cached),
-            ("csod_hit_rate", csod_hits),
-            ("baseline_interpreted_ms", base_interp),
-            ("baseline_cached_ms", base_cached),
-            ("baseline_replay_speedup", base_interp / base_cached),
-        ],
-    }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON — the file is
-/// written by this binary, so a full parser would be overkill.
-fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    let (base_interp, base_cached, _) =
+        best_of(ATTEMPTS, || workload_pair(&ToolSpec::Baseline), |r| r.1);
+    vec![
+        ("exec_interpreted_ns_per_access", exec_interp),
+        ("exec_replay_ns_per_access", exec_replay),
+        ("exec_replay_speedup", exec_interp / exec_replay),
+        ("csod_interpreted_ms", csod_interp),
+        ("csod_cached_ms", csod_cached),
+        ("csod_replay_speedup", csod_interp / csod_cached),
+        ("csod_hit_rate", csod_hits),
+        ("baseline_interpreted_ms", base_interp),
+        ("baseline_cached_ms", base_cached),
+        ("baseline_replay_speedup", base_interp / base_cached),
+    ]
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let results = measure();
-    println!("\n=== trace-cached replay engine ===");
-    for (k, v) in &results.metrics {
-        println!("{k:>32}  {v:10.2}");
-    }
-
-    let check_pos = args.iter().position(|a| a == "--check");
-    let mut best = results;
-    let mut failed = false;
-    if let Some(pos) = check_pos {
-        let baseline_path = args.get(pos + 1).map_or("BENCH_replay.json", |s| s.as_str());
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let keys = ["exec_replay_ns_per_access", "csod_cached_ms"];
-        // Interference can only inflate a wall-clock measurement, so a
-        // single observation under the threshold proves the code has
-        // not regressed. On an apparent failure, re-measure (twice at
-        // most) and keep each metric's best observation before ruling.
-        for retry in 0..=2 {
-            let bad = |r: &Results| {
-                r.get("exec_replay_speedup") < SPEEDUP_FLOOR
-                    || keys.iter().any(|key| {
-                        let base = extract(&baseline, key)
-                            .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-                        r.get(key) > base * REGRESSION_FACTOR
-                    })
-            };
-            if !bad(&best) || retry == 2 {
-                break;
-            }
-            eprintln!("replay bench: over threshold, re-measuring (noisy host?)...");
-            let again = measure();
-            for (k, v) in &mut best.metrics {
-                if k.ends_with("_ns_per_access") || k.ends_with("_ms") {
-                    *v = v.min(again.get(k));
-                } else {
-                    *v = v.max(again.get(k));
-                }
-            }
-        }
-        for key in keys {
-            let base = extract(&baseline, key)
-                .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-            let fresh = best.get(key);
-            let verdict = if fresh > base * REGRESSION_FACTOR {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!("check {key}: {fresh:.2} vs baseline {base:.2} ({verdict})");
-        }
-        let speedup = best.get("exec_replay_speedup");
-        let verdict = if speedup < SPEEDUP_FLOOR {
-            failed = true;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!("check exec_replay_speedup: {speedup:.2} vs floor {SPEEDUP_FLOOR:.2} ({verdict})");
-        if !failed {
-            println!("perf smoke passed");
-        }
-    }
-    // `--out` combines with `--check`: CI gates and refreshes the
-    // artifact in one run. Without either flag the default path is
-    // written, preserving the baseline-refresh behaviour.
-    if check_pos.is_none() || args.iter().any(|a| a == "--out") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|p| args.get(p + 1).cloned())
-            .unwrap_or_else(|| "BENCH_replay.json".into());
-        std::fs::write(&out, best.to_json()).expect("baseline written");
-        println!("wrote {out}");
-    }
-    if failed {
-        eprintln!("perf smoke FAILED: replay engine below {SPEEDUP_FLOOR}x or slower than {REGRESSION_FACTOR}x baseline");
-        std::process::exit(1);
-    }
+    harness::run(&specs::REPLAY, measure);
 }

@@ -4,128 +4,36 @@
 //! clear error instead of a confusing downstream comparison.
 //!
 //! ```bash
-//! cargo run --release -p csod-bench --bin bench_validate              # validates ./BENCH_*.json
+//! cargo run --release -p csod-bench --bin bench_validate   # every spec's ./BENCH_*.json
 //! cargo run --release -p csod-bench --bin bench_validate -- a.json b.json
 //! ```
 //!
-//! A baseline is valid when it is a flat JSON object of `"key": number`
-//! pairs, every number is finite, and — for the benchmark families this
-//! repo commits — the keys its `--check` gate reads are present.
+//! A baseline is valid when a bench declares it in
+//! `csod_bench::specs`, it parses as flat JSON of finite numbers, and it
+//! carries exactly its spec's keys in the spec's order — the same table
+//! the bench binaries write from.
 
+use csod_bench::specs;
 use std::path::Path;
 
-/// The keys each committed baseline's `--check` gate actually reads.
-/// A baseline missing one of these would make its gate panic mid-CI.
-const REQUIRED: &[(&str, &[&str])] = &[
-    (
-        "BENCH_fastpath.json",
-        &[
-            "uncontended_cached_ns_per_alloc",
-            "uncontended_cached_ns_per_free",
-            "contended_cached_ns_per_alloc",
-        ],
-    ),
-    (
-        "BENCH_freepath.json",
-        &[
-            "unwatched_ns_per_free",
-            "watched_deferred_ns_per_free",
-            "trap_dispatch_fd_index_ns",
-        ],
-    ),
-    (
-        "BENCH_tracing.json",
-        &["traced_ns_per_alloc", "untraced_ns_per_alloc"],
-    ),
-    (
-        "BENCH_replay.json",
-        &["exec_replay_ns_per_access", "csod_cached_ms"],
-    ),
-    (
-        "BENCH_fleet.json",
-        &["merge_parallel_ms", "fleet_round_ms"],
-    ),
-    (
-        "BENCH_backend.json",
-        &["null_ns_per_alloc", "null_ns_per_free"],
-    ),
-    ("BENCH_analyze.json", &["analyze_ms_k2"]),
-];
-
-/// Parses the flat `{"key": number, ...}` shape the bench binaries
-/// write, returning the keys — or a description of what is malformed.
-fn parse_flat(json: &str) -> Result<Vec<String>, String> {
-    let body = json.trim();
-    let body = body
-        .strip_prefix('{')
-        .and_then(|b| b.strip_suffix('}'))
-        .ok_or("not a JSON object (missing braces)")?;
-    let mut keys = Vec::new();
-    for (lineno, entry) in body.split(',').enumerate() {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            return Err(format!("empty entry (trailing comma?) at field {lineno}"));
-        }
-        let (key, value) = entry
-            .split_once(':')
-            .ok_or_else(|| format!("field {lineno}: no `:` in {entry:?}"))?;
-        let key = key
-            .trim()
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("field {lineno}: key not quoted in {entry:?}"))?;
-        if key.is_empty() {
-            return Err(format!("field {lineno}: empty key"));
-        }
-        let number: f64 = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("field {key:?}: value {:?} is not a number", value.trim()))?;
-        if !number.is_finite() {
-            return Err(format!("field {key:?}: value {number} is not finite"));
-        }
-        keys.push(key.to_string());
-    }
-    if keys.is_empty() {
-        return Err("baseline has no metrics".into());
-    }
-    Ok(keys)
-}
-
 fn validate(path: &str) -> Result<usize, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let keys = parse_flat(&text)?;
     let file = Path::new(path)
         .file_name()
         .and_then(|n| n.to_str())
         .unwrap_or(path);
-    if let Some((_, required)) = REQUIRED.iter().find(|(name, _)| *name == file) {
-        for need in *required {
-            if !keys.iter().any(|k| k == need) {
-                return Err(format!("missing required field {need:?} (its --check gate reads it)"));
-            }
-        }
-    }
-    Ok(keys.len())
+    let spec = specs::ALL
+        .into_iter()
+        .find(|s| s.file == file)
+        .ok_or_else(|| format!("no bench in csod_bench::specs writes {file}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
+    spec.validate(&text)
 }
 
 fn main() {
     let mut paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
-        // Default: every committed baseline in the working directory.
-        let mut found: Vec<String> = std::fs::read_dir(".")
-            .expect("readable working directory")
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            .collect();
-        found.sort();
-        paths = found;
-    }
-    if paths.is_empty() {
-        eprintln!("bench_validate: no BENCH_*.json files found");
-        std::process::exit(1);
+        // Default: every spec's committed baseline in the working directory.
+        paths = specs::ALL.iter().map(|s| s.file.to_string()).collect();
     }
     let mut failed = false;
     for path in &paths {

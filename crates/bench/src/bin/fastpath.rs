@@ -9,84 +9,31 @@
 //! cargo run --release -p csod-bench --bin fastpath -- --check BENCH_fastpath.json
 //! ```
 //!
-//! The default mode writes `BENCH_fastpath.json` (flat keys, one number
-//! each) to the current directory; `--check <baseline>` re-runs the
-//! measurements and exits non-zero when any tracked cached-mode metric
-//! regressed to more than twice the committed baseline — the CI
-//! perf-smoke gate.
+//! `--check` fails when a cached-mode metric regressed past its ceiling
+//! (`csod_bench::specs::FASTPATH`) — the CI perf-smoke gate.
 
-use csod_core::{ContextJudgment, Csod, CsodConfig, DecisionCache, SamplingUnit};
-use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use csod_bench::harness::{self, alloc_free_rounds, contexts, Metrics, CONTEXTS};
+use csod_bench::specs;
+use csod_core::{ContextJudgment, CsodConfig, DecisionCache, SamplingUnit};
+use csod_ctx::FrameTable;
 use csod_rng::Arc4Random;
 use sim_heap::{HeapConfig, SimHeap};
-use sim_machine::{Machine, ThreadId, VirtInstant};
-use std::sync::Arc;
+use sim_machine::{Machine, VirtInstant};
 use std::time::Instant;
 
-/// Contexts cycled through by every scenario: enough to exercise the
-/// probe sequences, few enough that each stays hot.
-const CONTEXTS: usize = 64;
-/// Live objects per timed round of the runtime scenario.
-const ROUND_ALLOCS: usize = 8_192;
-/// Timed rounds (the fastest is reported, Criterion-style).
-const ROUNDS: usize = 12;
 /// OS threads in the contended scenario.
 const THREADS: usize = 16;
 /// Sampling decisions per thread in the contended scenario.
 const CONTENDED_OPS: usize = 200_000;
-/// Allowed slowdown versus the committed baseline before `--check` fails.
-const REGRESSION_FACTOR: f64 = 2.0;
-
-fn contexts(frames: &FrameTable) -> Vec<(ContextKey, CallingContext)> {
-    (0..CONTEXTS)
-        .map(|i| {
-            let ctx = CallingContext::from_locations(
-                frames,
-                [format!("hot_{i}.c:1").as_str(), "driver.c:7", "main.c:1"],
-            );
-            (ContextKey::new(ctx.first_level().expect("non-empty"), 0x40), ctx)
-        })
-        .collect()
-}
 
 /// ns/alloc and ns/free through the full `Csod` runtime (malloc
 /// interposition, canary layout, sampling, watch installs).
-fn runtime_pair(refresh: u32) -> (f64, f64) {
-    let frames = Arc::new(FrameTable::new());
+fn runtime_pair(refresh: u32) -> [f64; 2] {
     let mut machine = Machine::new();
     let mut heap = SimHeap::new(&mut machine, HeapConfig::default()).expect("fresh heap");
     let mut config = CsodConfig::default();
     config.fast_path.decision_cache_refresh = refresh;
-    let mut csod = Csod::new(config, Arc::clone(&frames));
-    let sites = contexts(&frames);
-
-    let mut best_alloc = f64::INFINITY;
-    let mut best_free = f64::INFINITY;
-    let mut ptrs = Vec::with_capacity(ROUND_ALLOCS);
-    // One untimed warm-up round settles first-sight interning, the
-    // initial flurry of watch installs, and burst throttling.
-    for round in 0..=ROUNDS {
-        let start = Instant::now();
-        for i in 0..ROUND_ALLOCS {
-            let (key, ctx) = &sites[i % CONTEXTS];
-            let p = csod
-                .malloc(&mut machine, &mut heap, ThreadId::MAIN, 16, *key, ctx)
-                .expect("heap has room");
-            ptrs.push(p);
-        }
-        let alloc_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        let start = Instant::now();
-        for p in ptrs.drain(..) {
-            csod.free(&mut machine, &mut heap, ThreadId::MAIN, p)
-                .expect("was allocated");
-        }
-        let free_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        if round > 0 {
-            best_alloc = best_alloc.min(alloc_ns);
-            best_free = best_free.min(free_ns);
-        }
-    }
-    (best_alloc, best_free)
+    alloc_free_rounds(config, &mut machine, &mut heap, |_, _| {})
 }
 
 /// ns per sampling decision with 16 threads hammering one shared
@@ -117,7 +64,7 @@ fn contended_ns(refresh: u32) -> f64 {
                 for i in 0..CONTENDED_OPS {
                     let (key, ctx) = &sites[(i + t) % CONTEXTS];
                     let d = cache.on_allocation(
-                        &unit,
+                        unit,
                         *key,
                         VirtInstant::BOOT,
                         &mut rng,
@@ -133,112 +80,29 @@ fn contended_ns(refresh: u32) -> f64 {
     start.elapsed().as_nanos() as f64 / (THREADS * CONTENDED_OPS) as f64
 }
 
-struct Results {
-    metrics: Vec<(&'static str, f64)>,
-}
-
-impl Results {
-    fn get(&self, key: &str) -> f64 {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metric {key} missing"))
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v:.2}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-fn measure() -> Results {
+fn measure() -> Metrics {
     let cached = CsodConfig::default().fast_path.decision_cache_refresh;
     eprintln!("fastpath bench: runtime malloc/free, cached (refresh={cached})...");
-    let (ca, cf) = runtime_pair(cached);
+    let [ca, cf] = runtime_pair(cached);
     eprintln!("fastpath bench: runtime malloc/free, uncached (refresh=1)...");
-    let (ua, uf) = runtime_pair(1);
+    let [ua, uf] = runtime_pair(1);
     eprintln!("fastpath bench: contended {THREADS}-thread sampling, cached...");
     let cc = contended_ns(cached);
     eprintln!("fastpath bench: contended {THREADS}-thread sampling, uncached...");
     let uc = contended_ns(1);
-    Results {
-        metrics: vec![
-            ("threads_contended", THREADS as f64),
-            ("cached_refresh", f64::from(cached)),
-            ("uncontended_cached_ns_per_alloc", ca),
-            ("uncontended_cached_ns_per_free", cf),
-            ("uncontended_uncached_ns_per_alloc", ua),
-            ("uncontended_uncached_ns_per_free", uf),
-            ("contended_cached_ns_per_alloc", cc),
-            ("contended_uncached_ns_per_alloc", uc),
-            ("contended_speedup", uc / cc),
-        ],
-    }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON — the file is
-/// written by this binary, so a full parser would be overkill.
-fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    vec![
+        ("threads_contended", THREADS as f64),
+        ("cached_refresh", f64::from(cached)),
+        ("uncontended_cached_ns_per_alloc", ca),
+        ("uncontended_cached_ns_per_free", cf),
+        ("uncontended_uncached_ns_per_alloc", ua),
+        ("uncontended_uncached_ns_per_free", uf),
+        ("contended_cached_ns_per_alloc", cc),
+        ("contended_uncached_ns_per_alloc", uc),
+        ("contended_speedup", uc / cc),
+    ]
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let results = measure();
-    println!("\n=== allocation fast path ===");
-    for (k, v) in &results.metrics {
-        println!("{k:>36}  {v:10.2}");
-    }
-
-    let check_pos = args.iter().position(|a| a == "--check");
-    let mut failed = false;
-    if let Some(pos) = check_pos {
-        let baseline_path = args.get(pos + 1).map_or("BENCH_fastpath.json", |s| s.as_str());
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        for key in [
-            "uncontended_cached_ns_per_alloc",
-            "uncontended_cached_ns_per_free",
-            "contended_cached_ns_per_alloc",
-        ] {
-            let base = extract(&baseline, key)
-                .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-            let fresh = results.get(key);
-            let verdict = if fresh > base * REGRESSION_FACTOR {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!("check {key}: {fresh:.2} vs baseline {base:.2} ({verdict})");
-        }
-        if !failed {
-            println!("perf smoke passed");
-        }
-    }
-    // `--out` combines with `--check`: CI gates and refreshes the
-    // artifact in one run. Without either flag the default path is
-    // written, preserving the original baseline-refresh behaviour.
-    if check_pos.is_none() || args.iter().any(|a| a == "--out") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|p| args.get(p + 1).cloned())
-            .unwrap_or_else(|| "BENCH_fastpath.json".into());
-        std::fs::write(&out, results.to_json()).expect("baseline written");
-        println!("wrote {out}");
-    }
-    if failed {
-        eprintln!("perf smoke FAILED: cached fast path slower than {REGRESSION_FACTOR}x baseline");
-        std::process::exit(1);
-    }
+    harness::run(&specs::FASTPATH, measure);
 }

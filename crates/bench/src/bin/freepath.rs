@@ -26,28 +26,26 @@
 //! cargo run --release -p csod-bench --bin freepath -- --check BENCH_freepath.json
 //! ```
 //!
-//! `--check <baseline>` re-runs the measurements and exits non-zero when
-//! any tracked ns metric regressed to more than twice the committed
-//! baseline — the CI perf-smoke gate.
+//! `--check` fails when a tracked ns metric regressed past its ceiling
+//! (`csod_bench::specs::FREEPATH`) — the CI perf-smoke gate.
 
+use csod_bench::harness::{
+    self, best_of, contexts, fastest, Metrics, CONTEXTS, ROUNDS, ROUND_ALLOCS,
+};
+use csod_bench::specs;
 use csod_core::{
     Csod, CsodConfig, CtxId, ReplacementPolicy, WatchCandidate, WatchpointManager,
 };
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use csod_fleet::par::run_parallel_chunked;
 use csod_rng::Arc4Random;
 use sim_heap::{HeapConfig, SimHeap};
 use sim_machine::{Machine, ThreadId, VirtAddr, VirtDuration};
 use sim_machine::AccessKind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use workloads::{run_parallel_chunked, Event, SiteRegistry, ToolSpec, TraceRunner};
+use workloads::{Event, SiteRegistry, ToolSpec, TraceRunner};
 
-/// Allocation contexts cycled through by the unwatched-free scenario.
-const CONTEXTS: usize = 64;
-/// Live objects per timed round of the unwatched-free scenario.
-const ROUND_ALLOCS: usize = 8_192;
-/// Timed rounds (the fastest is reported, Criterion-style).
-const ROUNDS: usize = 12;
 /// Install/remove cycles per timed round of the watched churn.
 const CHURN_CYCLES: usize = 512;
 /// Threads alive during the trap-dispatch scenario.
@@ -64,8 +62,6 @@ const PARALLEL_THREADS: usize = 4;
 /// Overflowed-and-confirmed objects per durability trace; each one adds
 /// a record the exit compaction must durably write.
 const PARALLEL_OBJECTS: usize = 32;
-/// Allowed slowdown versus the committed baseline before `--check` fails.
-const REGRESSION_FACTOR: f64 = 2.0;
 
 /// ns per *unwatched* free through the full runtime: the four slots are
 /// pinned by never-freed allocations under the naive policy, so every
@@ -89,20 +85,11 @@ fn unwatched_free_ns() -> f64 {
         csod.malloc(&mut machine, &mut heap, ThreadId::MAIN, 16, key, &ctx)
             .expect("heap has room");
     }
-    let sites: Vec<(ContextKey, CallingContext)> = (0..CONTEXTS)
-        .map(|i| {
-            let ctx = CallingContext::from_locations(
-                &frames,
-                [format!("cold_{i}.c:1").as_str(), "driver.c:7", "main.c:1"],
-            );
-            (ContextKey::new(ctx.first_level().expect("non-empty"), 0x40), ctx)
-        })
-        .collect();
+    let sites = contexts(&frames);
 
-    let mut best = f64::INFINITY;
     let mut ptrs = Vec::with_capacity(ROUND_ALLOCS);
-    // One untimed warm-up round settles context interning and heap state.
-    for round in 0..=ROUNDS {
+    // The warm-up round settles context interning and heap state.
+    let [best] = fastest(ROUNDS, || {
         for i in 0..ROUND_ALLOCS {
             let (key, ctx) = &sites[i % CONTEXTS];
             let p = csod
@@ -115,11 +102,8 @@ fn unwatched_free_ns() -> f64 {
             csod.free(&mut machine, &mut heap, ThreadId::MAIN, p)
                 .expect("was allocated");
         }
-        let free_ns = start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64;
-        if round > 0 {
-            best = best.min(free_ns);
-        }
-    }
+        [start.elapsed().as_nanos() as f64 / ROUND_ALLOCS as f64]
+    });
     assert!(
         csod.stats().frees_fast_filtered >= (ROUNDS * ROUND_ALLOCS) as u64,
         "the timed frees were supposed to take the filtered fast path"
@@ -154,8 +138,7 @@ fn watched_churn(deferred: bool) -> (f64, f64) {
     let candidates: Vec<WatchCandidate> =
         (0..4).map(|n| churn_candidate(&frames, base, n)).collect();
 
-    let mut best = f64::INFINITY;
-    for round in 0..=ROUNDS {
+    let [best] = fastest(ROUNDS, || {
         let mut removing = Duration::ZERO;
         for _ in 0..CHURN_CYCLES {
             // Install phase (untimed): the first consider also drains the
@@ -170,11 +153,8 @@ fn watched_churn(deferred: bool) -> (f64, f64) {
             }
             removing += start.elapsed();
         }
-        let ns = removing.as_nanos() as f64 / (CHURN_CYCLES * 4) as f64;
-        if round > 0 {
-            best = best.min(ns);
-        }
-    }
+        [removing.as_nanos() as f64 / (CHURN_CYCLES * 4) as f64]
+    });
     let stats = w.stats();
     let batch_avg = if stats.teardown_batches == 0 {
         0.0
@@ -207,9 +187,7 @@ fn dispatch_pair() -> (f64, f64) {
         .collect();
     assert_eq!(fds.len(), 4 * DISPATCH_THREADS, "4 slots on every thread");
 
-    let mut best_index = f64::INFINITY;
-    let mut best_scan = f64::INFINITY;
-    for round in 0..=ROUNDS {
+    let [index_ns, scan_ns] = fastest(ROUNDS, || {
         let start = Instant::now();
         for i in 0..DISPATCH_LOOKUPS {
             let hit = w.find_by_fd(fds[i % fds.len()]);
@@ -222,12 +200,9 @@ fn dispatch_pair() -> (f64, f64) {
             std::hint::black_box(hit.map(|o| o.object_start));
         }
         let scan_ns = start.elapsed().as_nanos() as f64 / DISPATCH_LOOKUPS as f64;
-        if round > 0 {
-            best_index = best_index.min(index_ns);
-            best_scan = best_scan.min(scan_ns);
-        }
-    }
-    (best_index, best_scan)
+        [index_ns, scan_ns]
+    });
+    (index_ns, scan_ns)
 }
 
 /// Wall-clock milliseconds for a batch of durability scenarios, serial
@@ -275,9 +250,7 @@ fn parallel_driver_pair() -> (f64, f64) {
         TraceRunner::new(&registry, spec.clone()).run(trace.iter().cloned())
     };
 
-    let mut best_serial = f64::INFINITY;
-    let mut best_parallel = f64::INFINITY;
-    for round in 0..=3 {
+    let [serial_ms, parallel_ms] = fastest(3, || {
         let start = Instant::now();
         let serial: Vec<_> = specs.iter().map(job).collect();
         let serial_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -288,37 +261,10 @@ fn parallel_driver_pair() -> (f64, f64) {
             assert_eq!(s.reports, p.reports, "parallel driver changed an outcome");
             assert_eq!(s.detected, p.detected);
         }
-        if round > 0 {
-            best_serial = best_serial.min(serial_ms);
-            best_parallel = best_parallel.min(parallel_ms);
-        }
-    }
+        [serial_ms, parallel_ms]
+    });
     let _ = std::fs::remove_dir_all(&dir);
-    (best_serial, best_parallel)
-}
-
-struct Results {
-    metrics: Vec<(&'static str, f64)>,
-}
-
-impl Results {
-    fn get(&self, key: &str) -> f64 {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metric {key} missing"))
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            out.push_str(&format!("  \"{k}\": {v:.2}{comma}\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
+    (serial_ms, parallel_ms)
 }
 
 /// Attempts per timed scenario. Each scenario already keeps its fastest
@@ -328,128 +274,34 @@ impl Results {
 /// inflate a metric.
 const ATTEMPTS: usize = 3;
 
-/// Minimum over [`ATTEMPTS`] runs of a scenario.
-fn best_of<T, F: FnMut() -> (f64, T)>(mut f: F) -> (f64, T) {
-    let mut best = f();
-    for _ in 1..ATTEMPTS {
-        let next = f();
-        if next.0 < best.0 {
-            best = next;
-        }
-    }
-    best
-}
-
-fn measure() -> Results {
+fn measure() -> Metrics {
     eprintln!("freepath bench: unwatched frees through the filter...");
-    let (unwatched, ()) = best_of(|| (unwatched_free_ns(), ()));
+    let unwatched = best_of(ATTEMPTS, unwatched_free_ns, |&ns| ns);
     eprintln!("freepath bench: watched churn, deferred teardown...");
-    let (deferred, batch_avg) = best_of(|| watched_churn(true));
+    let (deferred, batch_avg) = best_of(ATTEMPTS, || watched_churn(true), |r| r.0);
     eprintln!("freepath bench: watched churn, synchronous teardown...");
-    let (synchronous, _) = best_of(|| watched_churn(false));
+    let (synchronous, _) = best_of(ATTEMPTS, || watched_churn(false), |r| r.0);
     eprintln!("freepath bench: trap dispatch, {DISPATCH_THREADS} threads...");
-    let (index_ns, scan_ns) = best_of(dispatch_pair);
+    let (index_ns, scan_ns) = best_of(ATTEMPTS, dispatch_pair, |r| r.0);
     eprintln!("freepath bench: parallel driver, {PARALLEL_TRACES} WAL traces x {PARALLEL_THREADS} threads...");
     let (serial_ms, parallel_ms) = parallel_driver_pair();
-    Results {
-        metrics: vec![
-            ("unwatched_ns_per_free", unwatched),
-            ("watched_deferred_ns_per_free", deferred),
-            ("watched_synchronous_ns_per_free", synchronous),
-            ("deferred_free_speedup", synchronous / deferred),
-            ("teardown_batch_avg", batch_avg),
-            ("dispatch_threads", DISPATCH_THREADS as f64),
-            ("trap_dispatch_fd_index_ns", index_ns),
-            ("trap_dispatch_scan_ns", scan_ns),
-            ("dispatch_speedup", scan_ns / index_ns),
-            ("parallel_trace_threads", PARALLEL_THREADS as f64),
-            ("parallel_serial_ms", serial_ms),
-            ("parallel_fanned_ms", parallel_ms),
-            ("parallel_trace_speedup", serial_ms / parallel_ms),
-        ],
-    }
-}
-
-/// Pulls `"key": <number>` out of the flat baseline JSON — the file is
-/// written by this binary, so a full parser would be overkill.
-fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    vec![
+        ("unwatched_ns_per_free", unwatched),
+        ("watched_deferred_ns_per_free", deferred),
+        ("watched_synchronous_ns_per_free", synchronous),
+        ("deferred_free_speedup", synchronous / deferred),
+        ("teardown_batch_avg", batch_avg),
+        ("dispatch_threads", DISPATCH_THREADS as f64),
+        ("trap_dispatch_fd_index_ns", index_ns),
+        ("trap_dispatch_scan_ns", scan_ns),
+        ("dispatch_speedup", scan_ns / index_ns),
+        ("parallel_trace_threads", PARALLEL_THREADS as f64),
+        ("parallel_serial_ms", serial_ms),
+        ("parallel_fanned_ms", parallel_ms),
+        ("parallel_trace_speedup", serial_ms / parallel_ms),
+    ]
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let results = measure();
-    println!("\n=== free path & watchpoint lifecycle ===");
-    for (k, v) in &results.metrics {
-        println!("{k:>36}  {v:10.2}");
-    }
-
-    let check_pos = args.iter().position(|a| a == "--check");
-    let mut best = results;
-    let mut failed = false;
-    if let Some(pos) = check_pos {
-        let baseline_path = args.get(pos + 1).map_or("BENCH_freepath.json", |s| s.as_str());
-        let baseline = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let keys = [
-            "unwatched_ns_per_free",
-            "watched_deferred_ns_per_free",
-            "trap_dispatch_fd_index_ns",
-        ];
-        // Interference can only inflate a wall-clock measurement, so a
-        // single observation under the threshold proves the code has
-        // not regressed. On an apparent failure, re-measure (twice at
-        // most) and keep each metric's best observation before ruling.
-        for retry in 0..=2 {
-            let regressed = |r: &Results| {
-                keys.iter().any(|key| {
-                    let base = extract(&baseline, key)
-                        .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-                    r.get(key) > base * REGRESSION_FACTOR
-                })
-            };
-            if !regressed(&best) || retry == 2 {
-                break;
-            }
-            eprintln!("freepath bench: over threshold, re-measuring (noisy host?)...");
-            let again = measure();
-            for (k, v) in &mut best.metrics {
-                *v = v.min(again.get(k));
-            }
-        }
-        for key in keys {
-            let base = extract(&baseline, key)
-                .unwrap_or_else(|| panic!("baseline {baseline_path} lacks {key}"));
-            let fresh = best.get(key);
-            let verdict = if fresh > base * REGRESSION_FACTOR {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!("check {key}: {fresh:.2} vs baseline {base:.2} ({verdict})");
-        }
-        if !failed {
-            println!("perf smoke passed");
-        }
-    }
-    // `--out` combines with `--check`: CI gates and refreshes the
-    // artifact in one run. Without either flag the default path is
-    // written, preserving the original baseline-refresh behaviour.
-    if check_pos.is_none() || args.iter().any(|a| a == "--out") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|p| args.get(p + 1).cloned())
-            .unwrap_or_else(|| "BENCH_freepath.json".into());
-        std::fs::write(&out, best.to_json()).expect("baseline written");
-        println!("wrote {out}");
-    }
-    if failed {
-        eprintln!("perf smoke FAILED: free path slower than {REGRESSION_FACTOR}x baseline");
-        std::process::exit(1);
-    }
+    harness::run(&specs::FREEPATH, measure);
 }

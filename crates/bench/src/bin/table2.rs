@@ -6,12 +6,14 @@
 //! workload trace is fixed (same buggy input); only CSOD's sampling seed
 //! varies across runs, exactly as in repeated real executions.
 
-use csod_bench::{header, parallel_map, row, runs_arg};
+use csod_bench::{cores, header, row, runs_arg};
 use csod_core::{CsodConfig, ReplacementPolicy};
+use csod_fleet::par::run_parallel;
 use workloads::{BuggyApp, ToolSpec, TraceRunner};
 
 fn main() {
     let runs = runs_arg(1_000);
+    let seeds: Vec<u64> = (0..runs as u64).collect();
     header(&format!(
         "Table II: detections over {runs} executions per policy"
     ));
@@ -35,9 +37,9 @@ fn main() {
         let trace = app.trace(42);
         let mut cells = vec![app.name.to_string()];
         for (i, policy) in ReplacementPolicy::ALL.into_iter().enumerate() {
-            let detections: usize = parallel_map(runs, |seed| {
+            let detections: usize = run_parallel(&seeds, cores(), |&seed| {
                 let mut config = CsodConfig::with_policy(policy);
-                config.seed = seed as u64;
+                config.seed = seed;
                 let outcome =
                     TraceRunner::new(&registry, ToolSpec::Csod(config)).run(trace.iter().copied());
                 usize::from(outcome.watchpoint_detected)

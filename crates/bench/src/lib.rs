@@ -1,12 +1,16 @@
 //! # csod-bench — experiment harnesses
 //!
 //! One binary per table and figure of the paper's evaluation (Section V),
-//! plus ablation studies and Criterion microbenchmarks. See DESIGN.md for
+//! plus ablation studies and Criterion microbenchmarks. The gated perf
+//! bins run through [`harness`], declared in [`specs`]. See DESIGN.md for
 //! the per-experiment index and EXPERIMENTS.md for paper-vs-measured
 //! results.
 
 #![warn(missing_docs)]
 #![warn(clippy::perf)]
+
+pub mod harness;
+pub mod specs;
 
 use std::num::NonZeroUsize;
 use std::thread;
@@ -47,43 +51,14 @@ pub fn runs_arg(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Maps `f` over `0..n` on all available cores and collects the results
-/// in index order.
-pub fn parallel_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(n.max(1));
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(workers.max(1)).max(1);
-    thread::scope(|scope| {
-        for (w, slice) in results.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (i, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some(f(w * chunk + i));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("filled")).collect()
+/// Worker threads for the per-seed fan-outs: every available core.
+pub fn cores() -> usize {
+    thread::available_parallelism().map_or(4, NonZeroUsize::get)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(100, |i| i * 2);
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_edge_sizes() {
-        assert!(parallel_map(0, |i| i).is_empty());
-        assert_eq!(parallel_map(1, |i| i), vec![0]);
-    }
 
     #[test]
     fn row_is_aligned() {

@@ -282,11 +282,11 @@ mod tests {
         // clusters tight, which we can only observe functionally here.
         let mut m: FastMap<u64, u32> = FastMap::new();
         for round in 0..50u64 {
-            for i in 0..64u64 {
-                m.insert(round * 6400 + i * 8, i as u32);
+            for i in 0..64u32 {
+                m.insert(round * 6400 + u64::from(i) * 8, i);
             }
-            for i in 0..64u64 {
-                assert_eq!(m.remove(round * 6400 + i * 8), Some(i as u32));
+            for i in 0..64u32 {
+                assert_eq!(m.remove(round * 6400 + u64::from(i) * 8), Some(i));
             }
         }
         assert!(m.is_empty());
@@ -391,14 +391,14 @@ mod tests {
         use csod_ctx::{ContextKey, FrameTable};
         let frames = FrameTable::new();
         let mut m: FastMap<ContextKey, u32> = FastMap::new();
-        for i in 0..100u64 {
-            let k = ContextKey::new(frames.intern(&format!("s{i}")), i * 16);
-            m.insert(k, i as u32);
+        for i in 0..100u32 {
+            let k = ContextKey::new(frames.intern(&format!("s{i}")), u64::from(i) * 16);
+            m.insert(k, i);
         }
         assert_eq!(m.len(), 100);
-        for i in 0..100u64 {
-            let k = ContextKey::new(frames.intern(&format!("s{i}")), i * 16);
-            assert_eq!(m.get(k), Some(&(i as u32)));
+        for i in 0..100u32 {
+            let k = ContextKey::new(frames.intern(&format!("s{i}")), u64::from(i) * 16);
+            assert_eq!(m.get(k), Some(&i));
         }
     }
 }

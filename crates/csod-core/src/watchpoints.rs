@@ -710,7 +710,7 @@ mod tests {
             object_start: base + n * 64,
             canary_addr: base + n * 64 + 56,
             key: ContextKey::new(frames.intern(&format!("site{n}")), 0),
-            ctx_id: CtxId::from_index(n as u32),
+            ctx_id: CtxId::from_index(u32::try_from(n).expect("few candidates")),
             probability_ppm: prob,
         }
     }

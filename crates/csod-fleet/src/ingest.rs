@@ -193,7 +193,7 @@ mod tests {
                     &path,
                     &[
                         WalRecord::new(RecordKind::CanaryEvidence, 10_000 * (i as u32 % 10), "shared.c:1|main.c:1"),
-                        WalRecord::new(RecordKind::TrapSignature, 700_000, &format!("own.c:{i}|main.c:1")),
+                        WalRecord::new(RecordKind::TrapSignature, 700_000, format!("own.c:{i}|main.c:1")),
                     ],
                     i % 3 == 0,
                 );

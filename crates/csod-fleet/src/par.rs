@@ -9,10 +9,9 @@
 //! back in input order, and per-job determinism is untouched: a job's
 //! outcome depends only on its own input, never on scheduling.
 //!
-//! This module used to live in the `workloads` crate (the PR 8 parallel
-//! scenario driver); it moved down here so the fleet ingest pipeline
-//! can fan out over the same driver without a dependency cycle —
-//! `workloads` re-exports these functions unchanged.
+//! This is the workspace's one parallel driver: the fleet ingest
+//! pipeline, the `workloads` scenario fan-outs and the bench binaries'
+//! per-seed sweeps all import it from here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;

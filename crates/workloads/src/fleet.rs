@@ -24,14 +24,13 @@
 
 use csod_core::{Csod, CsodConfig, RunSummary};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use csod_fleet::par::run_parallel;
 use csod_fleet::{ingest_parallel, FleetPlan, FleetStore, IngestOptions, IngestStats, SamplingBudget};
 use csod_rng::Arc4Random;
 use sim_heap::{HeapConfig, SimHeap};
 use sim_machine::{Machine, ThreadId, VirtAddr, VirtDuration};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-use crate::parallel::run_parallel;
 
 /// The calling-context signature of the fleet's planted bug — the same
 /// code ships to every process, so every buggy process confirms the

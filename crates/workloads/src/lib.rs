@@ -28,9 +28,7 @@ pub use calls::CallSensitiveApp;
 pub use chaos::{run_chaos_soak, ChaosConfig, ChaosOutcome};
 pub use driver::{ReplayParams, RunOutcome, ToolSpec, TraceRunner};
 pub use fleet::{run_fleet_round, FleetRoundConfig, FleetRoundOutcome, FLEET_BUG_SIGNATURE};
-pub use parallel::{
-    run_chaos_fleet, run_parallel, run_parallel_batches, run_parallel_chunked, run_traces_parallel,
-};
+pub use parallel::{run_chaos_fleet, run_traces_parallel};
 pub use fuzz::{FuzzBug, FuzzWorkload};
 pub use perf::PerfApp;
 pub use restart::{run_restart_fleet, run_restart_scenario, RestartConfig, RestartOutcome};

@@ -4,18 +4,16 @@
 //! Every simulated execution in this workspace is self-contained — one
 //! [`sim_machine::Machine`], one heap, one runtime — so a batch of
 //! scenarios is embarrassingly parallel as long as each job builds its
-//! own world. The generic work-stealing driver now lives in
+//! own world. The generic work-stealing driver lives in
 //! `csod_fleet::par` (the fleet ingest pipeline fans out over the same
 //! engine, and `workloads` already sits above `csod-fleet` in the crate
-//! stack); this module re-exports it unchanged and keeps the
-//! scenario-shaped entry points.
+//! stack); this module keeps the scenario-shaped entry points over it.
 
 use crate::chaos::{run_chaos_soak, ChaosConfig, ChaosOutcome};
 use crate::driver::{RunOutcome, ToolSpec, TraceRunner};
 use crate::sites::SiteRegistry;
 use crate::trace::Event;
-
-pub use csod_fleet::par::{run_parallel, run_parallel_batches, run_parallel_chunked};
+use csod_fleet::par::{run_parallel, run_parallel_chunked};
 
 /// Runs one chaos soak per config, in parallel. Each soak owns its own
 /// machine, heap and runtime, so the fleet's outcomes are bit-identical
@@ -60,17 +58,6 @@ mod tests {
     use sim_machine::AccessKind;
     use sim_machine::SiteToken;
     use std::sync::Arc;
-
-    #[test]
-    fn reexported_driver_still_orders_results() {
-        // The driver itself is tested in csod-fleet; this pins the
-        // re-export wiring.
-        let inputs: Vec<u64> = (0..10).collect();
-        assert_eq!(
-            run_parallel(&inputs, 4, |&n| n * n),
-            (0..10).map(|n| n * n).collect::<Vec<u64>>()
-        );
-    }
 
     #[test]
     fn small_trace_batches_run_serially() {

@@ -28,6 +28,7 @@
 
 use csod_core::{Csod, CsodConfig, RunSummary};
 use csod_ctx::{CallingContext, ContextKey, FrameTable};
+use csod_fleet::par::run_parallel;
 use csod_fleet::recover_states;
 use csod_persist::{RecordKind, RecoveredState, Wal, WalRecord};
 use csod_rng::Arc4Random;
@@ -36,8 +37,6 @@ use sim_machine::{FaultPlan, Machine, ThreadId, VirtAddr, VirtDuration};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-use crate::parallel::run_parallel;
 
 /// Parameters of one kill→recover→rerun scenario.
 #[derive(Debug, Clone)]
