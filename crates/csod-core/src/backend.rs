@@ -622,14 +622,21 @@ impl Backend for NullBackend {
     }
 }
 
-/// A bump allocator over the null backend's sparse address space: `free`
-/// releases nothing (addresses are never reused), which is exactly the
-/// ceiling-benchmark posture — allocator cost at (almost) zero, every
-/// pointer unique so the runtime's record keeping still behaves.
+/// A bump allocator over the null backend's sparse address space with
+/// one free list per 16-byte-rounded size: `malloc` hands out the most
+/// recently freed block of its rounded size before bumping, so a steady
+/// allocate/free loop keeps reusing warm addresses instead of growing the
+/// backend's storage with run length. That is the ceiling-benchmark
+/// posture: allocator cost at (almost) zero, and every live pointer
+/// distinct so the runtime's record keeping still behaves.
 #[derive(Debug)]
 pub struct NullHeap {
     next: u64,
+    /// Live block start → requested size (at least 1).
     live: FastMap<u64, u64>,
+    /// Freed block starts keyed by their 16-byte-rounded size, most
+    /// recently freed last.
+    free_lists: FastMap<u64, Vec<u64>>,
 }
 
 /// First address handed out; leaves address 0 (and a guard gap) unused.
@@ -647,6 +654,7 @@ impl NullHeap {
         NullHeap {
             next: NULL_HEAP_BASE,
             live: FastMap::new(),
+            free_lists: FastMap::new(),
         }
     }
 
@@ -658,7 +666,18 @@ impl NullHeap {
 
 impl HeapBackend<NullBackend> for NullHeap {
     fn malloc(&mut self, backend: &mut NullBackend, size: u64) -> Result<VirtAddr, HeapError> {
-        self.memalign(backend, 16, size)
+        let grown = size.max(1);
+        let recycled = self
+            .free_lists
+            .get_mut(grown.next_multiple_of(16))
+            .and_then(Vec::pop);
+        match recycled {
+            Some(addr) => {
+                self.live.insert(addr, grown);
+                Ok(VirtAddr::new(addr))
+            }
+            None => self.memalign(backend, 16, size),
+        }
     }
 
     fn memalign(
@@ -678,9 +697,14 @@ impl HeapBackend<NullBackend> for NullHeap {
     }
 
     fn free(&mut self, _backend: &mut NullBackend, addr: VirtAddr) -> Result<u64, HeapError> {
-        self.live
+        let size = self
+            .live
             .remove(addr.as_u64())
-            .ok_or(HeapError::InvalidPointer(addr))
+            .ok_or(HeapError::InvalidPointer(addr))?;
+        self.free_lists
+            .get_or_insert_with(size.next_multiple_of(16), Vec::new)
+            .push(addr.as_u64());
+        Ok(size)
     }
 }
 
@@ -760,6 +784,32 @@ mod tests {
         assert_eq!(h.free(&mut b, p).unwrap(), 40);
         assert_eq!(h.free(&mut b, p), Err(HeapError::InvalidPointer(p)));
         assert_eq!(h.memalign(&mut b, 3, 8), Err(HeapError::BadAlignment(3)));
+    }
+
+    #[test]
+    fn null_heap_reuses_a_freed_block_of_the_same_rounded_size() {
+        let mut b = NullBackend::new();
+        let mut h = NullHeap::new();
+        let p = h.malloc(&mut b, 40).unwrap();
+        let q = h.malloc(&mut b, 100).unwrap();
+        assert_eq!(h.free(&mut b, p).unwrap(), 40);
+        assert_eq!(h.malloc(&mut b, 40).unwrap(), p, "same size: same address");
+        h.free(&mut b, p).unwrap();
+        assert_eq!(
+            h.malloc(&mut b, 33).unwrap(),
+            p,
+            "33 and 40 both round to 48 bytes"
+        );
+        let fresh = h.malloc(&mut b, 40).unwrap();
+        assert!(fresh > q, "no freed 48-byte block left: bump");
+        // Wild and double frees stay errors, and never feed a free list.
+        assert_eq!(h.free(&mut b, p).unwrap(), 33);
+        assert_eq!(h.free(&mut b, p), Err(HeapError::InvalidPointer(p)));
+        let wild = VirtAddr::new(0x42);
+        assert_eq!(h.free(&mut b, wild), Err(HeapError::InvalidPointer(wild)));
+        assert_eq!(h.malloc(&mut b, 48).unwrap(), p);
+        assert_ne!(h.malloc(&mut b, 48).unwrap(), p, "freed once, reused once");
+        assert_eq!(h.live_blocks(), 4);
     }
 
     #[test]

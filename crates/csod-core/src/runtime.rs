@@ -342,8 +342,9 @@ impl Csod {
     }
 
     /// [`Csod::new`], except startup recovery consumes a
-    /// [`RecoveredState`] that was already read — typically through the
-    /// fleet ingest pipeline's batched recovery, which reads every
+    /// [`RecoveredState`](csod_persist::RecoveredState) that was already
+    /// read — typically through the fleet ingest pipeline's batched
+    /// recovery, which reads every
     /// process's WAL once through parallel fan-out instead of each
     /// runtime re-opening its own file. The per-process read syscalls
     /// saved this way are counted in
@@ -729,8 +730,12 @@ impl Csod {
         let mitigation = &self.mitigation;
         let frames = &self.frames;
         let decision = cache.on_allocation(&self.sampling, key, machine.now(), rng, ctx, |full| {
-            // First sight of the context: one signature render answers
-            // both recovered-state questions.
+            // First sight of the context. With no recovered or confirmed
+            // state there is nothing a signature could match.
+            if evidence.is_empty() && mitigation.confirmed_contexts() == 0 {
+                return ContextJudgment::clear();
+            }
+            // One signature render answers both recovered-state questions.
             let signature = full.signature(frames);
             ContextJudgment {
                 known_overflow: evidence.contains_signature(&signature),

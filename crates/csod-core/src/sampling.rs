@@ -570,9 +570,10 @@ impl SamplingUnit {
         self.table.with_existing(key, |s| s.clone())
     }
 
-    /// Number of distinct contexts observed (Table III/IV "CC" column).
+    /// Number of distinct contexts observed (Table III/IV "CC" column):
+    /// the dense id counter, which advances exactly once per new entry.
     pub fn distinct_contexts(&self) -> usize {
-        self.table.len()
+        self.next_id.load(Ordering::Acquire) as usize
     }
 
     /// Snapshot of all context states for end-of-run reporting.
@@ -759,6 +760,34 @@ mod tests {
             b.probability_ppm(k).unwrap(),
             "absorbed degradation matches the per-allocation schedule"
         );
+    }
+
+    #[test]
+    fn distinct_contexts_counts_racing_first_sights() {
+        let frames = FrameTable::new();
+        let u = unit();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (u, frames, start) = (&u, &frames, &start);
+                scope.spawn(move || {
+                    let mut rng = Arc4Random::from_seed(7, t);
+                    start.wait();
+                    for i in 0..200u64 {
+                        // Half the keys are shared by every thread, so
+                        // first sights of one key race each other.
+                        let name = if i % 2 == 0 {
+                            format!("shared{i}")
+                        } else {
+                            format!("t{t}-{i}")
+                        };
+                        alloc(u, key(frames, &name), VirtInstant::BOOT, &mut rng, frames);
+                    }
+                });
+            }
+        });
+        assert_eq!(u.distinct_contexts(), 100 + 4 * 100);
+        assert_eq!(u.distinct_contexts(), u.snapshot().len());
     }
 
     #[test]

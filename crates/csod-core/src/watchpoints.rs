@@ -250,7 +250,7 @@ impl WatchpointManager {
     /// Creates a manager for hypothetical hardware with `slots` debug
     /// registers (the register-count ablation); the machine must be
     /// built with at least as many via
-    /// [`Machine::with_debug_registers`].
+    /// [`Machine::with_debug_registers`](sim_machine::Machine::with_debug_registers).
     ///
     /// # Panics
     ///
@@ -559,7 +559,7 @@ impl WatchpointManager {
     }
 
     /// Forgets descriptors pinned to an exited thread (the kernel closes
-    /// them with the thread; see [`Machine::exit_thread`]).
+    /// them with the thread; see [`Machine::exit_thread`](sim_machine::Machine::exit_thread)).
     pub fn forget_thread(&mut self, tid: ThreadId) {
         let fd_index = &mut self.fd_index;
         for slot in self.slots.iter_mut().flatten() {

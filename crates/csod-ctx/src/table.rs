@@ -18,12 +18,19 @@
 //! memory tracks the number of live contexts instead of a pre-sized
 //! bucket array.
 //!
+//! A bitmap with one bit per stripe records which stripes hold an entry,
+//! so the end-of-run walks ([`ContextTable::for_each`],
+//! [`ContextTable::snapshot`], [`ContextTable::len`]) lock and visit only
+//! the occupied stripes. A short execution that saw three contexts walks
+//! three stripes, not all of them.
+//!
 //! The table is generic over the per-context payload `V`; the CSOD core
 //! instantiates it with its sampling state, and tests instantiate it
 //! with counters.
 
 use crate::key::ContextKey;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default stripe count. Contention on the allocation fast path is
 /// spread across this many independent locks; each stripe's
@@ -106,6 +113,9 @@ impl<V> Stripe<V> {
 #[derive(Debug)]
 pub struct ContextTable<V> {
     stripes: Vec<Mutex<Stripe<V>>>,
+    /// Bit `i % 64` of word `i / 64` is set once stripe `i` holds an
+    /// entry. Entries are never removed, so a bit never clears.
+    occupied: Vec<AtomicU64>,
 }
 
 impl<V> Default for ContextTable<V> {
@@ -129,6 +139,7 @@ impl<V> ContextTable<V> {
         assert!(buckets > 0, "context table needs at least one bucket");
         ContextTable {
             stripes: (0..buckets).map(|_| Mutex::new(Stripe::new())).collect(),
+            occupied: (0..buckets.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -139,6 +150,22 @@ impl<V> ContextTable<V> {
 
     fn stripe(&self, key: ContextKey) -> &Mutex<Stripe<V>> {
         &self.stripes[key.bucket(self.stripes.len())]
+    }
+
+    /// The stripes holding at least one entry, in ascending stripe order.
+    /// A stripe that gains its first entry while this runs may be missed,
+    /// as a full walk that had already passed it would miss it.
+    fn occupied_stripes(&self) -> impl Iterator<Item = &Mutex<Stripe<V>>> {
+        self.occupied.iter().enumerate().flat_map(move |(w, word)| {
+            let mut bits = word.load(Ordering::Acquire);
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    &self.stripes[w * 64 + bit]
+                })
+            })
+        })
     }
 
     /// Runs `f` on the entry for `key`, inserting `init()` first if the
@@ -162,7 +189,8 @@ impl<V> ContextTable<V> {
         init: impl FnOnce() -> V,
         f: impl FnOnce(&mut V, bool) -> R,
     ) -> R {
-        let mut stripe = self.stripe(key).lock();
+        let index = key.bucket(self.stripes.len());
+        let mut stripe = self.stripes[index].lock();
         if !stripe.slots.is_empty() {
             if let Ok(at) = stripe.probe(key) {
                 let (_, v) = stripe.slots[at].as_mut().expect("occupied slot");
@@ -177,6 +205,9 @@ impl<V> ContextTable<V> {
             .expect_err("key was absent before insertion");
         stripe.slots[at] = Some((key, init()));
         stripe.len += 1;
+        if stripe.len == 1 {
+            self.occupied[index / 64].fetch_or(1 << (index % 64), Ordering::Release);
+        }
         let (_, v) = stripe.slots[at].as_mut().expect("just inserted");
         f(v, true)
     }
@@ -202,29 +233,30 @@ impl<V> ContextTable<V> {
         !stripe.slots.is_empty() && stripe.probe(key).is_ok()
     }
 
-    /// Total number of entries (locks each stripe in turn).
+    /// Total number of entries (locks each occupied stripe in turn).
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len).sum()
+        self.occupied_stripes().map(|s| s.lock().len).sum()
     }
 
     /// Whether the table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.occupied_stripes().next().is_none()
     }
 
-    /// Visits every entry; stripes are locked one at a time, so the view
-    /// is per-stripe consistent (sufficient for end-of-run reporting).
+    /// Visits every entry in ascending stripe order, and in slot order
+    /// within a stripe. Stripes are locked one at a time, so the view is
+    /// per-stripe consistent (sufficient for end-of-run reporting).
     pub fn for_each(&self, mut f: impl FnMut(ContextKey, &V)) {
-        for stripe in &self.stripes {
+        for stripe in self.occupied_stripes() {
             for (k, v) in stripe.lock().slots.iter().flatten() {
                 f(*k, v);
             }
         }
     }
 
-    /// Visits every entry mutably.
+    /// Visits every entry mutably, in [`ContextTable::for_each`] order.
     pub fn for_each_mut(&self, mut f: impl FnMut(ContextKey, &mut V)) {
-        for stripe in &self.stripes {
+        for stripe in self.occupied_stripes() {
             for (k, v) in stripe.lock().slots.iter_mut().flatten() {
                 f(*k, v);
             }
@@ -234,13 +266,13 @@ impl<V> ContextTable<V> {
     /// The population of the fullest stripe — the load-spread metric;
     /// near `len / bucket_count` when the hash spreads keys well.
     pub fn max_bucket_load(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len).max().unwrap_or(0)
+        self.occupied_stripes().map(|s| s.lock().len).max().unwrap_or(0)
     }
 
     /// Total slots allocated across all stripes (capacity metric: this
     /// tracks occupancy, not a pre-sized bucket array).
     pub fn capacity(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().slots.len()).sum()
+        self.occupied_stripes().map(|s| s.lock().slots.len()).sum()
     }
 }
 
@@ -250,10 +282,15 @@ impl<V: Clone> ContextTable<V> {
         self.with_existing(key, |v| v.clone())
     }
 
-    /// Snapshots all entries into a vector.
+    /// Snapshots all entries into a vector, in [`ContextTable::for_each`]
+    /// order.
     pub fn snapshot(&self) -> Vec<(ContextKey, V)> {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each(|k, v| out.push((k, v.clone())));
+        let mut out = Vec::new();
+        for stripe in self.occupied_stripes() {
+            let stripe = stripe.lock();
+            out.reserve(stripe.len);
+            out.extend(stripe.slots.iter().flatten().cloned());
+        }
         out
     }
 }
@@ -343,6 +380,46 @@ mod tests {
         assert_eq!(sum, (0..50).sum::<u64>());
         table.for_each_mut(|_, v| *v = 0);
         assert!(table.snapshot().iter().all(|(_, v)| *v == 0));
+    }
+
+    /// Every entry from a walk over all stripes, occupied or not.
+    fn full_walk(table: &ContextTable<u64>) -> Vec<(ContextKey, u64)> {
+        let mut out = Vec::new();
+        for stripe in &table.stripes {
+            out.extend(stripe.lock().slots.iter().flatten().copied());
+        }
+        out
+    }
+
+    #[test]
+    fn walks_match_a_full_walk_in_stripe_order() {
+        let frames = FrameTable::new();
+        for buckets in [1, 64, 100] {
+            let table: ContextTable<u64> = ContextTable::with_buckets(buckets);
+            assert!(table.snapshot().is_empty());
+            assert!(table.is_empty());
+            for i in 0..37u64 {
+                table.with_entry(key(&frames, &format!("w{i}"), i * 16), || i, |_| ());
+            }
+            let full = full_walk(&table);
+            assert_eq!(full.len(), 37);
+            let snapshot = table.snapshot();
+            assert_eq!(snapshot, full, "{buckets} stripes: snapshot order");
+            let stripes: Vec<usize> = snapshot.iter().map(|(k, _)| k.bucket(buckets)).collect();
+            assert!(stripes.is_sorted(), "{buckets} stripes: ascending stripe order");
+            let mut visited = Vec::new();
+            table.for_each(|k, v| visited.push((k, *v)));
+            assert_eq!(visited, full, "{buckets} stripes: for_each order");
+            let mut visited_mut = Vec::new();
+            table.for_each_mut(|k, v| visited_mut.push((k, *v)));
+            assert_eq!(visited_mut, full, "{buckets} stripes: for_each_mut order");
+            assert_eq!(table.len(), full.len());
+            assert!(!table.is_empty());
+            let capacity: usize = table.stripes.iter().map(|s| s.lock().slots.len()).sum();
+            assert_eq!(table.capacity(), capacity);
+            let max_load = table.stripes.iter().map(|s| s.lock().len).max().unwrap();
+            assert_eq!(table.max_bucket_load(), max_load);
+        }
     }
 
     #[test]

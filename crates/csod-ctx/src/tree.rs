@@ -21,6 +21,41 @@ use crate::frame::FrameId;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// One fxhash round per word for the child map, the multiply-shift
+/// hasher `sim_heap` uses for its live-object table. The keys are node
+/// and frame ids this program assigns, not outside input, so SipHash's
+/// flood resistance buys nothing here.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+/// The 64-bit `fxhash` multiplier (golden-ratio based).
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, value: u32) {
+        self.write_u64(u64::from(value));
+    }
+
+    fn write_usize(&mut self, value: usize) {
+        self.write_u64(value as u64);
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(FX_SEED);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
 
 /// Identifier of one node (= one full calling context) in the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -50,7 +85,7 @@ struct Node {
 struct TreeInner {
     nodes: Vec<Node>,
     /// (parent, frame) -> child, the path-compression map.
-    children: HashMap<(Option<u32>, FrameId), CtxNodeId>,
+    children: HashMap<(Option<u32>, FrameId), CtxNodeId, BuildHasherDefault<IdHasher>>,
 }
 
 /// A thread-safe calling-context tree.
@@ -95,8 +130,7 @@ impl ContextTree {
         let mut inner = self.inner.write();
         let mut parent: Option<CtxNodeId> = None;
         // Walk outermost (main) -> innermost (allocation statement).
-        let frames: Vec<FrameId> = context.iter().collect();
-        for frame in frames.into_iter().rev() {
+        for frame in context.iter().rev() {
             let key = (parent.map(|p| p.0), frame);
             let id = match inner.children.get(&key) {
                 Some(&id) => id,

@@ -67,21 +67,27 @@ struct Region {
     range: AddrRange,
     name: String,
     /// Backing chunks, indexed by chunk number within the region; `None`
-    /// chunks are all-zero. The index vector itself is tiny (one word
-    /// per 64 KiB of virtual size).
+    /// chunks are all-zero. The index grows to cover the highest chunk
+    /// written so far, so a fresh mapping holds no index at all and
+    /// chunks past the end of the index read as zero.
     chunks: Vec<Option<Box<[u8]>>>,
     resident: u64,
 }
 
 impl Region {
     fn new(range: AddrRange, name: &str) -> Self {
-        let n_chunks = range.len().div_ceil(CHUNK) as usize;
         Region {
             range,
             name: name.to_owned(),
-            chunks: vec![None; n_chunks],
+            chunks: Vec::new(),
             resident: 0,
         }
+    }
+
+    /// The backing of `chunk`, or `None` when it was never written.
+    #[inline]
+    fn chunk(&self, chunk: u64) -> Option<&[u8]> {
+        self.chunks.get(chunk as usize)?.as_deref()
     }
 
     /// Runs `f` over the chunk-relative pieces of `[offset, offset+len)`.
@@ -103,7 +109,7 @@ impl Region {
 
     fn read(&self, offset: u64, buf: &mut [u8]) {
         Region::for_pieces(offset, buf.len() as u64, |chunk, start, take, progress| {
-            match &self.chunks[chunk as usize] {
+            match self.chunk(chunk) {
                 Some(bytes) => buf[progress..progress + take]
                     .copy_from_slice(&bytes[start..start + take]),
                 None => buf[progress..progress + take].fill(0),
@@ -113,11 +119,15 @@ impl Region {
 
     #[inline]
     fn chunk_mut<'a>(
-        chunks: &'a mut [Option<Box<[u8]>>],
+        chunks: &'a mut Vec<Option<Box<[u8]>>>,
         resident: &mut u64,
         chunk: u64,
     ) -> &'a mut [u8] {
-        let slot = &mut chunks[chunk as usize];
+        let chunk = chunk as usize;
+        if chunk >= chunks.len() {
+            chunks.resize(chunk + 1, None);
+        }
+        let slot = &mut chunks[chunk];
         if slot.is_none() {
             *slot = Some(vec![0u8; CHUNK as usize].into_boxed_slice());
             *resident += CHUNK;
@@ -138,7 +148,7 @@ impl Region {
         let chunks = &mut self.chunks;
         let resident = &mut self.resident;
         Region::for_pieces(offset, len, |chunk, start, take, _| {
-            if byte == 0 && chunks[chunk as usize].is_none() {
+            if byte == 0 && chunks.get(chunk as usize).is_none_or(Option::is_none) {
                 return; // untouched chunks are already zero
             }
             Region::chunk_mut(chunks, resident, chunk)[start..start + take].fill(byte);
@@ -305,7 +315,7 @@ impl AddressSpace {
         if start <= CHUNK as usize - 8 {
             // Word lies inside one chunk — the overwhelmingly common case
             // (allocator headers and canaries are 8-byte aligned).
-            return Ok(match &region.chunks[(offset / CHUNK) as usize] {
+            return Ok(match region.chunk(offset / CHUNK) {
                 Some(bytes) => {
                     u64::from_le_bytes(bytes[start..start + 8].try_into().expect("8 bytes"))
                 }
@@ -426,6 +436,40 @@ mod tests {
         assert_eq!(mem.resident_bytes(), CHUNK, "one chunk after one touch");
         // Filling with zero over untouched chunks stays lazy.
         mem.fill(base, 1 << 20, 0).unwrap();
+        assert_eq!(mem.resident_bytes(), CHUNK);
+    }
+
+    #[test]
+    fn fresh_mapping_reads_zero_at_both_ends_without_residency() {
+        let mut mem = AddressSpace::new();
+        let base = VirtAddr::new(0x10_0000);
+        let len = 256 << 20; // 256 MiB
+        mem.map_region(base, len, "heap").unwrap();
+        let last = base + (len - 8);
+        assert_eq!(mem.load_u64(base).unwrap(), 0);
+        assert_eq!(mem.load_u64(last).unwrap(), 0);
+        let mut buf = [0xFFu8; 16];
+        mem.read_bytes(last - 8, &mut buf).unwrap();
+        assert_eq!(buf, [0; 16], "a read past the chunk index is zero");
+        assert_eq!(mem.resident_bytes(), 0, "reads allocate nothing");
+    }
+
+    #[test]
+    fn write_to_the_last_chunk_reads_back() {
+        let mut mem = AddressSpace::new();
+        let base = VirtAddr::new(0x10_0000);
+        let len = 256 << 20;
+        mem.map_region(base, len, "heap").unwrap();
+        let last = base + (len - 8);
+        mem.store_u64(last, 0xfeed_f00d).unwrap();
+        assert_eq!(mem.load_u64(last).unwrap(), 0xfeed_f00d);
+        assert_eq!(mem.resident_bytes(), CHUNK, "only the written chunk");
+        // Chunks below the written one stay zero and unallocated.
+        assert_eq!(mem.load_u64(base + (len / 2)).unwrap(), 0);
+        mem.write_bytes(last - 4, &[9, 9, 9, 9]).unwrap();
+        let mut buf = [0u8; 12];
+        mem.read_bytes(last - 4, &mut buf).unwrap();
+        assert_eq!(buf, [9, 9, 9, 9, 0x0d, 0xf0, 0xed, 0xfe, 0, 0, 0, 0]);
         assert_eq!(mem.resident_bytes(), CHUNK);
     }
 

@@ -192,9 +192,16 @@ pub struct TraceCacheStats {
 /// Collisions evict: like ckb-vm's trace table, the cache is a hash table
 /// without chains, so a new segment simply overwrites whatever its slot
 /// held. Generation staleness is checked at replay time, not eagerly.
+///
+/// The slot table is allocated by the first [`insert`](Self::insert), so
+/// an execution that never compiles a segment pays neither for the table
+/// nor for scanning it on [`invalidate_overlapping`](Self::invalidate_overlapping).
 #[derive(Debug)]
 pub struct TraceCache {
+    /// Empty until the first insert, then [`TRACE_CACHE_SLOTS`] long.
     slots: Vec<Option<TraceSegment>>,
+    /// Number of `Some` slots, kept in step with every store and take.
+    occupied: usize,
     stats: TraceCacheStats,
     /// Compiled-segment length distribution, indexed by access count
     /// (clamped to [`MAX_SEGMENT_LEN`]).
@@ -208,11 +215,14 @@ impl Default for TraceCache {
 }
 
 impl TraceCache {
-    /// Creates an empty cache with [`TRACE_CACHE_SLOTS`] slots.
+    /// Creates an empty cache. The [`TRACE_CACHE_SLOTS`]-slot table is
+    /// allocated by the first [`insert`](Self::insert); until then every
+    /// lookup misses and every invalidation is a no-op.
     #[must_use]
     pub fn new() -> Self {
         TraceCache {
-            slots: (0..TRACE_CACHE_SLOTS).map(|_| None).collect(),
+            slots: Vec::new(),
+            occupied: 0,
             stats: TraceCacheStats::default(),
             len_counts: vec![0; MAX_SEGMENT_LEN + 1],
         }
@@ -222,7 +232,7 @@ impl TraceCache {
     #[inline]
     #[must_use]
     pub fn lookup(&self, key: VirtAddr) -> Option<&TraceSegment> {
-        self.slots[calculate_slot(key)].as_ref()
+        self.slots.get(calculate_slot(key))?.as_ref()
     }
 
     /// Caches `segment` in its key's slot, evicting any previous
@@ -231,15 +241,23 @@ impl TraceCache {
         self.stats.compiled += 1;
         let len = segment.len().min(MAX_SEGMENT_LEN);
         self.len_counts[len] += 1;
-        let slot = calculate_slot(segment.key());
-        self.slots[slot] = Some(segment);
+        if self.slots.is_empty() {
+            self.slots.resize_with(TRACE_CACHE_SLOTS, || None);
+        }
+        let slot = &mut self.slots[calculate_slot(segment.key())];
+        if slot.replace(segment).is_none() {
+            self.occupied += 1;
+        }
     }
 
     /// Drops the segment cached for `key`'s slot and counts the
     /// invalidation. Used when a lookup finds a stale or blocked segment.
     pub fn invalidate_key(&mut self, key: VirtAddr) {
-        if self.slots[calculate_slot(key)].take().is_some() {
-            self.stats.invalidations += 1;
+        if let Some(slot) = self.slots.get_mut(calculate_slot(key)) {
+            if slot.take().is_some() {
+                self.occupied -= 1;
+                self.stats.invalidations += 1;
+            }
         }
     }
 
@@ -247,9 +265,13 @@ impl TraceCache {
     /// ckb-vm "overlapping write" rule, applied when out-of-model stores
     /// (overflows, dangling writes) corrupt memory near cached footprints.
     pub fn invalidate_overlapping(&mut self, range: AddrRange) {
+        if self.occupied == 0 {
+            return;
+        }
         for slot in &mut self.slots {
             if slot.as_ref().is_some_and(|seg| seg.hull.overlaps(&range)) {
                 *slot = None;
+                self.occupied -= 1;
                 self.stats.invalidations += 1;
             }
         }
@@ -285,9 +307,10 @@ impl TraceCache {
     }
 
     /// Occupied slots (for tests and diagnostics).
+    #[inline]
     #[must_use]
     pub fn occupied(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.occupied
     }
 }
 
@@ -412,6 +435,50 @@ mod tests {
             cache.lookup(VirtAddr::new(0x8)).unwrap().key(),
             VirtAddr::new(colliding)
         );
+    }
+
+    #[test]
+    fn fresh_cache_misses_and_invalidates_nothing() {
+        let mut cache = TraceCache::new();
+        for addr in [0, 0x8, 0x3000, 8 * TRACE_CACHE_SLOTS as u64 - 8] {
+            assert!(cache.lookup(VirtAddr::new(addr)).is_none());
+            cache.invalidate_key(VirtAddr::new(addr));
+        }
+        cache.invalidate_overlapping(AddrRange::new(VirtAddr::new(0), u64::MAX / 2));
+        assert_eq!(cache.stats().invalidations, 0);
+        assert_eq!(cache.occupied(), 0);
+    }
+
+    #[test]
+    fn occupied_tracks_a_full_slot_count() {
+        let full_count = |cache: &TraceCache| cache.slots.iter().filter(|s| s.is_some()).count();
+        let mut cache = TraceCache::new();
+        let seg = |addr: u64| {
+            TraceSegment::compile(ThreadId::MAIN, 0, vec![step(addr, 8, AccessKind::Read)])
+                .unwrap()
+        };
+        let wrap = 8 * TRACE_CACHE_SLOTS as u64;
+        for addr in [0x10, 0x20, 0x30, 0x10 + wrap, 0x20 + 2 * wrap, 0x5000] {
+            cache.insert(seg(addr));
+            assert_eq!(cache.occupied(), full_count(&cache), "after insert {addr:#x}");
+        }
+        assert_eq!(cache.occupied(), 4, "two inserts evicted a colliding slot");
+        cache.invalidate_key(VirtAddr::new(0x30));
+        cache.invalidate_key(VirtAddr::new(0x30));
+        assert_eq!(cache.occupied(), full_count(&cache));
+        // The colliding inserts replaced the originals, so a range over
+        // the evicted footprints drops nothing.
+        cache.invalidate_overlapping(AddrRange::new(VirtAddr::new(0x10), 0x18));
+        assert_eq!(cache.occupied(), 3);
+        cache.invalidate_overlapping(AddrRange::new(VirtAddr::new(0x10 + wrap), 2 * wrap));
+        assert_eq!(cache.occupied(), full_count(&cache));
+        assert_eq!(cache.occupied(), 1, "only the 0x5000 segment survives");
+        cache.invalidate_overlapping(AddrRange::new(VirtAddr::new(0x5000), 8));
+        assert_eq!(cache.occupied(), 0);
+        assert_eq!(full_count(&cache), 0);
+        cache.insert(seg(0x40));
+        assert_eq!(cache.occupied(), 1);
+        assert_eq!(cache.occupied(), full_count(&cache));
     }
 
     #[test]

@@ -32,10 +32,9 @@ const MIN_TRACES_PER_WORKER: usize = 2;
 /// registry, in parallel — the scaling path for the benchmark and
 /// effectiveness suites.
 ///
-/// Small batches fall back to a serial in-line loop (see
-/// [`MIN_TRACES_PER_WORKER`]); larger ones claim a few traces per
-/// counter increment so the steal overhead amortises without starving
-/// the tail.
+/// Batches with fewer than two traces per worker shed workers, down to
+/// a serial in-line loop; larger ones claim a few traces per counter
+/// increment so the steal overhead amortises without starving the tail.
 pub fn run_traces_parallel(
     registry: &SiteRegistry,
     tool: &ToolSpec,
