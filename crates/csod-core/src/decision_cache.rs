@@ -132,40 +132,40 @@ impl DecisionCache {
             self.invalidate(sampler, current);
         }
         let ttl = sampler.params().burst_window;
-        if self.refresh > 1 {
-            if let Some(entry) = self.map.get_mut(key) {
-                if entry.epoch == self.epoch
-                    && entry.uses_left > 0
-                    && now.saturating_duration_since(entry.filled_at) <= ttl
-                {
-                    entry.uses_left -= 1;
-                    entry.pending += 1;
-                    if !entry.listed {
-                        entry.listed = true;
-                        self.dirty.push(key);
-                    }
-                    self.stats.hits += 1;
-                    let mut d = entry.decision;
-                    d.first_seen = false;
-                    // One-shot event flags must not replay on every hit.
-                    d.revived = false;
-                    d.entered_burst = false;
-                    d.wants_watch = rng.chance_ppm(d.probability_ppm);
-                    return d;
+        // One probe serves both outcomes: a fresh entry is a hit, and
+        // any other entry hands over its pending batch for the miss.
+        let mut pending = 0;
+        if let Some(entry) = self.map.get_mut(key) {
+            if self.refresh > 1
+                && entry.epoch == self.epoch
+                && entry.uses_left > 0
+                && now.saturating_duration_since(entry.filled_at) <= ttl
+            {
+                entry.uses_left -= 1;
+                entry.pending += 1;
+                if !entry.listed {
+                    entry.listed = true;
+                    self.dirty.push(key);
                 }
+                self.stats.hits += 1;
+                let mut d = entry.decision;
+                d.first_seen = false;
+                // One-shot event flags must not replay on every hit.
+                d.revived = false;
+                d.entered_burst = false;
+                d.wants_watch = rng.chance_ppm(d.probability_ppm);
+                return d;
             }
+            // Miss, stale epoch, refresh due, or memoization disabled:
+            // the count is moved out of the entry, not copied — if the
+            // fresh decision bumps the epoch (burst, revive) the
+            // invalidation below must not absorb the same allocations
+            // twice. A stale entry's count was absorbed by the
+            // invalidation that outdated it, so it reads 0 here.
+            pending = std::mem::take(&mut entry.pending);
         }
-        // Miss, stale epoch, refresh due, or memoization disabled: take
-        // the pending batch to the sampling unit and memoize the fresh
-        // verdict. The count is moved out of the entry, not copied — if
-        // the fresh decision bumps the epoch (burst, revive) the
-        // invalidation below must not absorb the same allocations
-        // twice. A stale entry's count was absorbed by the invalidation
-        // that outdated it, so it reads 0 here.
-        let pending = self
-            .map
-            .get_mut(key)
-            .map_or(0, |e| std::mem::take(&mut e.pending));
+        // Take the pending batch to the sampling unit and memoize the
+        // fresh verdict.
         let decision = sampler.on_allocation_batched(key, now, rng, ctx, judge, pending);
         self.stats.misses += 1;
         // The decision itself may have stepped a probability (burst
@@ -175,21 +175,23 @@ impl DecisionCache {
         if post != self.epoch {
             self.invalidate(sampler, post);
         }
-        // The entry keeps its `listed` flag: the key stays on the dirty
-        // list until the next invalidation visits it. Read only now, as
-        // the invalidation above may just have emptied the list.
-        let listed = self.map.get(key).is_some_and(|e| e.listed);
-        self.map.insert(
-            key,
-            CachedVerdict {
-                decision,
-                filled_at: now,
-                epoch: self.epoch,
-                pending: 0,
-                uses_left: self.refresh - 1,
-                listed,
-            },
-        );
+        // One upsert. The entry keeps its `listed` flag: the key stays
+        // on the dirty list until the next invalidation visits it. Read
+        // only now, as the invalidation above may just have emptied the
+        // list.
+        let fresh = CachedVerdict {
+            decision,
+            filled_at: now,
+            epoch: self.epoch,
+            pending: 0,
+            uses_left: self.refresh - 1,
+            listed: false,
+        };
+        let entry = self.map.get_or_insert_with(key, || fresh);
+        *entry = CachedVerdict {
+            listed: entry.listed,
+            ..fresh
+        };
         decision
     }
 

@@ -1660,6 +1660,29 @@ mod tests {
     }
 
     #[test]
+    fn trap_from_an_undeclared_site_reports_without_an_overflow_site() {
+        let mut f = fixture(CsodConfig::default());
+        // A declared site makes the site table non-empty, so the trap's
+        // lookup of `SiteToken::UNKNOWN` (the table's empty-slot key)
+        // really probes it.
+        f.csod
+            .register_site(SiteToken(9), ctx(&f.frames, "memcpy.S:81"));
+        let p = malloc(&mut f, "alloc.c:10", 64);
+        f.machine
+            .set_current_site(ThreadId::MAIN, SiteToken::UNKNOWN);
+        f.machine.app_write(ThreadId::MAIN, p + 64, 8).unwrap();
+        f.csod.poll(&mut f.machine);
+        assert!(f.csod.detected_by_watchpoint());
+        let r = &f.csod.reports()[0];
+        assert!(
+            r.overflow_site.is_none(),
+            "no context behind an unknown site"
+        );
+        assert_eq!(f.csod.sites.len(), 1);
+        assert!(f.csod.sites.get(9).is_some(), "the declared site is intact");
+    }
+
+    #[test]
     fn over_read_is_detected_too() {
         let mut f = fixture(CsodConfig::default());
         let p = malloc(&mut f, "ssl.c:2588", 33);

@@ -16,6 +16,26 @@ use std::fmt;
 pub struct FrameId(u32);
 
 impl FrameId {
+    /// An id no [`FrameTable`] ever hands out. Hash tables keyed by
+    /// context use it (through [`crate::ContextKey::RESERVED`]) to mark
+    /// an empty slot.
+    pub const RESERVED: FrameId = FrameId(u32::MAX);
+
+    /// The id of the frame interned at position `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` would collide with [`FrameId::RESERVED`] or
+    /// does not fit in 32 bits.
+    fn for_index(index: usize) -> FrameId {
+        let id = FrameId(u32::try_from(index).expect("frame table overflow"));
+        assert!(
+            id != FrameId::RESERVED,
+            "frame table overflow: the last id is reserved"
+        );
+        id
+    }
+
     /// The raw index.
     pub const fn as_u32(self) -> u32 {
         self.0
@@ -68,7 +88,7 @@ impl FrameTable {
         if let Some(&id) = inner.by_name.get(location) {
             return id;
         }
-        let id = FrameId(u32::try_from(inner.names.len()).expect("frame table overflow"));
+        let id = FrameId::for_index(inner.names.len());
         inner.names.push(location.to_owned());
         inner.by_name.insert(location.to_owned(), id);
         id
@@ -120,6 +140,19 @@ mod tests {
         assert_eq!(t.resolve(id), "lib/ssl/t1_lib.c:2588");
         assert_eq!(t.find("lib/ssl/t1_lib.c:2588"), Some(id));
         assert_eq!(t.find("missing"), None);
+    }
+
+    #[test]
+    fn ids_stop_short_of_the_reserved_one() {
+        let last = FrameId::for_index(u32::MAX as usize - 1);
+        assert_eq!(last.as_u32(), u32::MAX - 1);
+        assert_ne!(last, FrameId::RESERVED);
+    }
+
+    #[test]
+    #[should_panic(expected = "the last id is reserved")]
+    fn interning_never_hands_out_the_reserved_id() {
+        FrameId::for_index(u32::MAX as usize);
     }
 
     #[test]

@@ -34,6 +34,14 @@ pub struct ContextKey {
 }
 
 impl ContextKey {
+    /// A key no allocation ever has: its first-level frame is
+    /// [`FrameId::RESERVED`], which interning never returns. Open-addressed
+    /// tables keyed by context mark empty slots with it.
+    pub const RESERVED: ContextKey = ContextKey {
+        first_level: FrameId::RESERVED,
+        stack_offset: u64::MAX,
+    };
+
     /// Builds a key from the first-level call site and the stack offset
     /// of the allocating frame.
     pub fn new(first_level: FrameId, stack_offset: u64) -> Self {
@@ -95,6 +103,14 @@ mod tests {
         assert_ne!(ContextKey::new(a, 0x10), ContextKey::new(b, 0x10));
         assert_ne!(ContextKey::new(a, 0x10), ContextKey::new(a, 0x20));
         assert_eq!(ContextKey::new(a, 0x10), ContextKey::new(a, 0x10));
+    }
+
+    #[test]
+    fn reserved_key_matches_no_interned_key() {
+        let t = FrameTable::new();
+        let a = t.intern("a.c:1");
+        assert_ne!(ContextKey::new(a, u64::MAX), ContextKey::RESERVED);
+        assert_eq!(ContextKey::RESERVED.first_level(), FrameId::RESERVED);
     }
 
     #[test]

@@ -56,6 +56,7 @@ mod clock;
 mod cost;
 mod debug;
 mod faults;
+mod hash;
 mod machine;
 mod memory;
 mod perf;
@@ -69,6 +70,7 @@ pub use clock::{Clock, VirtDuration, VirtInstant};
 pub use cost::{CostDomain, CostModel, CycleCounter};
 pub use debug::{DebugRegisterFile, NUM_WATCHPOINT_REGISTERS};
 pub use faults::{FaultPlan, FaultStats};
+pub use hash::{AddrHasher, AddrMap};
 pub use machine::{Machine, PmuSample};
 pub use recorder::{FlightRecorder, LogEvent};
 pub use memory::{AddressSpace, MemoryError};

@@ -378,7 +378,16 @@ impl Machine {
             kind,
             count: 1,
         });
-        if !self.mem.is_mapped(addr, len) {
+        // Stores really mutate memory (with a recognizable garbage
+        // pattern) so canary-based evidence detection can observe
+        // over-writes after the fact. The fill is also the mapping
+        // check: it writes nothing when the range faults.
+        let mapped = if kind == AccessKind::Write {
+            self.mem.fill(addr, len, 0xA5).is_ok()
+        } else {
+            self.mem.is_mapped(addr, len)
+        };
+        if !mapped {
             let site = self.site_of(tid);
             self.record(LogEvent::SignalRaised {
                 signal: Signal::Segv,
@@ -393,14 +402,6 @@ impl Machine {
                 site,
             });
             return Err(MemoryError::Unmapped { addr, len });
-        }
-        if kind == AccessKind::Write {
-            // Stores really mutate memory (with a recognizable garbage
-            // pattern) so canary-based evidence detection can observe
-            // over-writes after the fact.
-            self.mem
-                .fill(addr, len, 0xA5)
-                .expect("mapped range checked above");
         }
         let range = AddrRange::new(addr, len);
         for hit in self.perf.check_access(tid, range, kind) {

@@ -11,7 +11,6 @@
 //! `mmap` memory. Untouched chunks read as zeroes.
 
 use crate::addr::{AddrRange, VirtAddr};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Size of one lazily-allocated backing chunk.
@@ -180,8 +179,11 @@ impl Region {
 /// ```
 #[derive(Debug, Default)]
 pub struct AddressSpace {
-    /// Regions keyed by their base address.
-    regions: BTreeMap<u64, Region>,
+    /// Non-overlapping regions sorted by base address. An address space
+    /// holds a handful of regions (the simulator maps one heap), so a
+    /// binary search over this flat list finds the region of an access
+    /// in a comparison or two.
+    regions: Vec<Region>,
 }
 
 impl AddressSpace {
@@ -214,14 +216,24 @@ impl AddressSpace {
                 existing: existing.name.clone(),
             });
         }
-        self.regions.insert(base.as_u64(), Region::new(range, name));
+        let at = self.regions.partition_point(|r| r.range.start() < base);
+        self.regions.insert(at, Region::new(range, name));
         Ok(())
     }
 
     /// Removes the region based exactly at `base`, returning whether a
     /// region was removed.
     pub fn unmap_region(&mut self, base: VirtAddr) -> bool {
-        self.regions.remove(&base.as_u64()).is_some()
+        match self
+            .regions
+            .binary_search_by_key(&base, |r| r.range.start())
+        {
+            Ok(at) => {
+                self.regions.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Returns `true` if every byte of `[addr, addr + len)` is mapped.
@@ -232,12 +244,12 @@ impl AddressSpace {
 
     /// Total mapped bytes across all regions (virtual size).
     pub fn mapped_bytes(&self) -> u64 {
-        self.regions.values().map(|r| r.range.len()).sum()
+        self.regions.iter().map(|r| r.range.len()).sum()
     }
 
     /// Total bytes actually backed by touched chunks (resident size).
     pub fn resident_bytes(&self) -> u64 {
-        self.regions.values().map(Region::resident_bytes).sum()
+        self.regions.iter().map(Region::resident_bytes).sum()
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -348,33 +360,39 @@ impl AddressSpace {
         Ok(())
     }
 
+    /// The lowest-based region overlapping `range`.
     fn find_overlap(&self, range: &AddrRange) -> Option<&Region> {
-        self.regions
-            .range(..=range.end().as_u64())
-            .map(|(_, r)| r)
+        let below_end = self
+            .regions
+            .partition_point(|r| r.range.start() <= range.end());
+        self.regions[..below_end]
+            .iter()
             .find(|r| r.range.overlaps(range))
+    }
+
+    /// Position of the one region holding all of `[addr, addr + len)`:
+    /// the last region based at or below `addr`, if the access ends
+    /// inside it. An access spanning two adjacent regions has none.
+    #[inline]
+    fn index_containing(&self, addr: VirtAddr, len: u64) -> Option<usize> {
+        let end = addr.checked_add(len)?;
+        let at = self
+            .regions
+            .partition_point(|r| r.range.start() <= addr)
+            .checked_sub(1)?;
+        let range = &self.regions[at].range;
+        (range.contains(addr) && end <= range.end() && len > 0).then_some(at)
     }
 
     #[inline]
     fn region_containing(&self, addr: VirtAddr, len: u64) -> Option<&Region> {
-        let end = addr.checked_add(len)?;
-        let (_, region) = self.regions.range(..=addr.as_u64()).next_back()?;
-        if region.range.contains(addr) && end <= region.range.end() && len > 0 {
-            Some(region)
-        } else {
-            None
-        }
+        self.index_containing(addr, len).map(|at| &self.regions[at])
     }
 
     #[inline]
     fn region_containing_mut(&mut self, addr: VirtAddr, len: u64) -> Option<&mut Region> {
-        let end = addr.checked_add(len)?;
-        let (_, region) = self.regions.range_mut(..=addr.as_u64()).next_back()?;
-        if region.range.contains(addr) && end <= region.range.end() && len > 0 {
-            Some(region)
-        } else {
-            None
-        }
+        self.index_containing(addr, len)
+            .map(|at| &mut self.regions[at])
     }
 
     #[inline]
@@ -557,6 +575,66 @@ mod tests {
         assert!(!mem.is_mapped(base, 1));
         mem.map_region(base, 64, "heap-again").unwrap();
         assert!(mem.is_mapped(base, 64));
+    }
+
+    #[test]
+    fn several_regions_resolve_each_access_to_its_own_region() {
+        let mut mem = AddressSpace::new();
+        let low = VirtAddr::new(0x10_0000);
+        let mid = VirtAddr::new(0x20_0000);
+        // Adjacent to `mid`; the three are mapped out of order.
+        let high = mid + 0x1000;
+        mem.map_region(high, 0x1000, "high").unwrap();
+        mem.map_region(low, 0x800, "low").unwrap();
+        mem.map_region(mid, 0x1000, "mid").unwrap();
+        let regions = [(low, 0x800, 1u64), (mid, 0x1000, 2), (high, 0x1000, 3)];
+        for &(base, len, tag) in &regions {
+            mem.store_u64(base, tag).unwrap();
+            mem.store_u64(base + (len - 8), tag << 8).unwrap();
+        }
+        for &(base, len, tag) in &regions {
+            assert_eq!(mem.load_u64(base).unwrap(), tag, "first word of {base}");
+            assert_eq!(
+                mem.load_u64(base + (len - 8)).unwrap(),
+                tag << 8,
+                "last word of {base}"
+            );
+        }
+        // Each region got exactly its own chunk.
+        assert_eq!(mem.resident_bytes(), 3 * CHUNK);
+        assert_eq!(mem.mapped_bytes(), 0x2800);
+        // One access may not span the boundary between adjacent regions.
+        let boundary = high - 4;
+        assert!(matches!(
+            mem.load_u64(boundary),
+            Err(MemoryError::Unmapped { addr, len: 8 }) if addr == boundary
+        ));
+        assert!(matches!(
+            mem.store_u64(boundary, 1),
+            Err(MemoryError::Unmapped { .. })
+        ));
+        assert!(mem.fill(mid, 0x1001, 0xAA).is_err());
+        assert!(!mem.is_mapped(boundary, 8));
+        // Unmapping the middle region makes its whole range fault and
+        // leaves its neighbours alone.
+        assert!(mem.unmap_region(mid));
+        assert!(mem.load_u64(mid).is_err());
+        assert!(mem.load_u64(mid + 0xFF8).is_err());
+        assert_eq!(mem.load_u64(high).unwrap(), 3);
+        assert_eq!(mem.load_u64(low + 0x7F8).unwrap(), 1 << 8);
+        // An overlapping request is still rejected, naming the region
+        // it collides with first.
+        match mem.map_region(low + 0x400, 0x20_0000, "wide").unwrap_err() {
+            MemoryError::MappingOverlap { existing, .. } => assert_eq!(existing, "low"),
+            other => panic!("unexpected error {other:?}"),
+        }
+        match mem.map_region(mid + 0x800, 0x1000, "straddle").unwrap_err() {
+            MemoryError::MappingOverlap { existing, .. } => assert_eq!(existing, "high"),
+            other => panic!("unexpected error {other:?}"),
+        }
+        // The hole left by `mid` maps again.
+        mem.map_region(mid, 0x1000, "mid-again").unwrap();
+        assert_eq!(mem.load_u64(mid).unwrap(), 0, "a remapped region is fresh");
     }
 
     #[test]

@@ -21,9 +21,9 @@
 
 use crate::addr::AddrRange;
 use crate::debug::DebugRegisterFile;
+use crate::hash::AddrMap;
 use crate::signal::Signal;
 use crate::thread::ThreadId;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A perf-event file descriptor.
@@ -194,7 +194,9 @@ pub struct FiredWatchpoint {
 /// The kernel-side state: open events plus each thread's debug registers.
 #[derive(Debug)]
 pub struct PerfSubsystem {
-    events: HashMap<u64, PerfEvent>,
+    /// Open events by raw descriptor. Every simulated `fcntl`, `ioctl`
+    /// and `close` looks one up, so the key hash is a multiply-shift.
+    events: AddrMap<PerfEvent>,
     /// Register files indexed by dense thread id (ids are sequential and
     /// never reused); `None` for threads that never armed a watch or
     /// have exited. The access-check hot path indexes straight in.
@@ -227,7 +229,7 @@ impl PerfSubsystem {
     pub fn with_registers(n: usize) -> Self {
         assert!(n > 0, "at least one debug register");
         PerfSubsystem {
-            events: HashMap::new(),
+            events: AddrMap::default(),
             registers: Vec::new(),
             registers_per_thread: n,
             // fd 0..2 are stdio on a real process; start above them.

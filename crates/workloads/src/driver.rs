@@ -450,10 +450,7 @@ impl<'r> TraceRunner<'r> {
                         .malloc(&mut self.machine, &mut self.heap, size)
                         .expect("trace fits in the heap"),
                 };
-                if self.slots.len() <= slot {
-                    self.slots.resize(slot + 1, None);
-                }
-                self.slots[slot] = Some((addr, size));
+                set_slot(&mut self.slots, slot, (addr, size));
             }
             Event::Free { thread, slot } => {
                 let tid = self.thread(thread);
@@ -461,10 +458,7 @@ impl<'r> TraceRunner<'r> {
                     return;
                 };
                 self.slots[slot] = None;
-                if self.ghosts.len() <= slot {
-                    self.ghosts.resize(slot + 1, None);
-                }
-                self.ghosts[slot] = Some((addr, size));
+                set_slot(&mut self.ghosts, slot, (addr, size));
                 match &mut self.tool {
                     ToolState::Baseline => {
                         self.heap
@@ -688,23 +682,22 @@ impl<'r> TraceRunner<'r> {
         if self.pending.is_empty() {
             return;
         }
-        let steps = std::mem::take(&mut self.pending);
         let tid = self.thread(self.pending_thread);
         // Short runs interpret without cache accounting: the lookup and
         // step-for-step match cost more than the walks they would save.
-        if steps.len() < self.replay.min_segment_len {
-            for step in &steps {
-                self.exec_step(tid, step);
-            }
+        if self.pending.len() < self.replay.min_segment_len {
+            self.interpret_pending(tid);
+            self.pending.clear();
             return;
         }
-        let key = steps[0].addr;
+        let key = self.pending[0].addr;
         let cache = self.cache.as_mut().expect("flush only runs with a cache");
         let hit = cache
             .lookup(key)
-            .is_some_and(|seg| seg.matches(tid, &steps) && self.machine.replay_segment(seg));
+            .is_some_and(|seg| seg.matches(tid, &self.pending) && self.machine.replay_segment(seg));
         if hit {
-            cache.note_hit(steps.len());
+            cache.note_hit(self.pending.len());
+            self.pending.clear();
             return;
         }
         // Whatever the slot held was stale, colliding, or blocked by an
@@ -713,21 +706,33 @@ impl<'r> TraceRunner<'r> {
         cache.invalidate_key(key);
         cache.note_miss();
         let gen0 = self.machine.watch_generation();
-        let mut clean = true;
-        for step in &steps {
-            clean &= self.exec_step(tid, step);
-        }
+        let clean = self.interpret_pending(tid);
         // Compile only runs that provably touched no armed watchpoint and
         // left the machine as they found it: every access succeeded
         // signal-free, no watch/map/fault mutation happened underneath
         // (generation), and the machine is in a replayable state at all.
         if clean && self.machine.watch_generation() == gen0 && self.machine.replay_ready() {
+            // The segment keeps the buffer; the next run starts a new one.
+            let steps = std::mem::take(&mut self.pending);
             if let Some(seg) = TraceSegment::compile(tid, gen0, steps) {
                 if !self.machine.armed_overlaps(tid, &seg.hull) {
                     self.cache_mut().insert(seg);
                 }
             }
+        } else {
+            self.pending.clear();
         }
+    }
+
+    /// Interprets the pending run in place, step by step. Returns
+    /// whether every step was clean (see [`TraceRunner::exec_step`]).
+    fn interpret_pending(&mut self, tid: ThreadId) -> bool {
+        let mut clean = true;
+        for i in 0..self.pending.len() {
+            let step = self.pending[i];
+            clean &= self.exec_step(tid, &step);
+        }
+        clean
     }
 
     /// Interprets one buffered step. Returns whether the access was
@@ -887,6 +892,19 @@ impl<'r> TraceRunner<'r> {
         outcome.peak_heap_kb = self.heap.stats().peak_in_use_bytes / 1024;
         outcome
     }
+}
+
+/// Stores `value` at `slot`, growing the table to reach it. Trace
+/// slots are handed out in order, so growth is almost always a `push`.
+fn set_slot(table: &mut Vec<Option<(VirtAddr, u64)>>, slot: usize, value: (VirtAddr, u64)) {
+    if slot == table.len() {
+        table.push(Some(value));
+        return;
+    }
+    if slot > table.len() {
+        table.resize(slot + 1, None);
+    }
+    table[slot] = Some(value);
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@
 //!    `RunOutcome` debug representation for every buggy app under the
 //!    default CSOD configuration, captured on the commit *before* the
 //!    `Backend` trait existed. Both replay modes (trace-cached and
-//!    interpreted) must still reproduce them exactly.
+//!    interpreted) must still reproduce them exactly. A second table
+//!    pins the same runs with the tracer's counters reset, so the
+//!    `trace-off` build is held to the same behaviour.
 
 use std::sync::Arc;
 
@@ -38,7 +40,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// `RunOutcome` digests per app, captured pre-refactor (seed 0xC50D,
 /// default `CsodConfig`). Cached and interpreted replay were verified to
-/// agree before capture, so one table pins both.
+/// agree before capture, so one table pins both. They hash the tracer's
+/// counters too, so they hold only with the tracer compiled in.
+#[cfg(not(feature = "trace-off"))]
 const PRE_REFACTOR_GOLDENS: &[(&str, u64)] = &[
     ("Gzip-1.2.4", 0xcd30025b7937d010),
     ("Heartbleed", 0xae94421684e123fb),
@@ -51,27 +55,70 @@ const PRE_REFACTOR_GOLDENS: &[(&str, u64)] = &[
     ("Zziplib-0.13.62", 0xe591e61ed8c0c4e5),
 ];
 
+/// The same runs with the three tracer fields (`trace_events`,
+/// `trace_dropped`, `trace_counts`) reset before hashing — the only
+/// fields compiling the tracer out changes. Captured from the default
+/// build at the commit that pinned them, while it still reproduced
+/// [`PRE_REFACTOR_GOLDENS`]; checked in both builds.
+const TRACE_NEUTRAL_GOLDENS: &[(&str, u64)] = &[
+    ("Gzip-1.2.4", 0xe22dd314d03c39d7),
+    ("Heartbleed", 0xce031b9dd0a2fdf1),
+    ("Libdwarf-20161021", 0xb5aaa4931cc0b1de),
+    ("LibHX-3.4", 0xc52f0ba5fff5c6ec),
+    ("Libtiff-4.01", 0xee3b79eace73fedb),
+    ("Memcached-1.4.25", 0xd6ec5b336050645c),
+    ("MySQL-5.5.19", 0x6033d9959802778b),
+    ("Polymorph-0.4.0", 0x9046d81d3c900a75),
+    ("Zziplib-0.13.62", 0x5e394eed0c82ef47),
+];
+
+fn golden(table: &[(&str, u64)], app: &str) -> u64 {
+    table
+        .iter()
+        .find(|(name, _)| *name == app)
+        .unwrap_or_else(|| panic!("no golden for {app} — new app needs a captured digest"))
+        .1
+}
+
+fn assert_digest(digest: u64, expected: u64, app: &str, mode: &str, table: &str) {
+    assert_eq!(
+        digest, expected,
+        "{app} ({mode} replay): RunOutcome diverged from pre-Backend-trait behavior \
+         (got {digest:#018x}, pinned {expected:#018x} in {table})"
+    );
+}
+
 fn assert_parity(params: ReplayParams, mode: &str) {
     for app in BuggyApp::all() {
-        let expected = PRE_REFACTOR_GOLDENS
-            .iter()
-            .find(|(name, _)| *name == app.name)
-            .unwrap_or_else(|| panic!("no golden for {} — new app needs a captured digest", app.name))
-            .1;
         let registry = app.registry();
         let trace = app.trace(0xC50D);
-        let outcome = TraceRunner::with_replay(
-            &registry,
-            ToolSpec::Csod(CsodConfig::default()),
-            params,
-        )
-        .run(trace);
-        let digest = fnv1a(format!("{outcome:?}").as_bytes());
-        assert_eq!(
-            digest, expected,
-            "{} ({mode} replay): RunOutcome diverged from pre-Backend-trait behavior \
-             (got {digest:#018x}, pinned {expected:#018x})",
-            app.name
+        let mut outcome =
+            TraceRunner::with_replay(&registry, ToolSpec::Csod(CsodConfig::default()), params)
+                .run(trace);
+        #[cfg(not(feature = "trace-off"))]
+        assert_digest(
+            fnv1a(format!("{outcome:?}").as_bytes()),
+            golden(PRE_REFACTOR_GOLDENS, app.name),
+            app.name,
+            mode,
+            "PRE_REFACTOR_GOLDENS",
+        );
+        #[cfg(feature = "trace-off")]
+        {
+            let off = format!("{}: tracer compiled out", app.name);
+            assert_eq!(outcome.trace_events, 0, "{off}");
+            assert_eq!(outcome.trace_dropped, 0, "{off}");
+            assert!(outcome.trace_counts.is_empty(), "{off}");
+        }
+        outcome.trace_events = 0;
+        outcome.trace_dropped = 0;
+        outcome.trace_counts.clear();
+        assert_digest(
+            fnv1a(format!("{outcome:?}").as_bytes()),
+            golden(TRACE_NEUTRAL_GOLDENS, app.name),
+            app.name,
+            mode,
+            "TRACE_NEUTRAL_GOLDENS",
         );
     }
 }
