@@ -14,9 +14,9 @@ fn bench_canary(c: &mut Criterion) {
     let layout = ObjectLayout::new(true, 64);
 
     c.bench_function("canary_imprint_64b_object", |b| {
-        b.iter(|| unit.imprint(&mut machine, layout, base, CtxId::from_index(3)).unwrap());
+        b.iter(|| unit.imprint(&mut machine, layout, base, base, CtxId::from_index(3)).unwrap());
     });
-    unit.imprint(&mut machine, layout, base, CtxId::from_index(3)).unwrap();
+    unit.imprint(&mut machine, layout, base, base, CtxId::from_index(3)).unwrap();
     let canary_addr = layout.canary_addr(layout.user_ptr(base));
     c.bench_function("canary_check", |b| {
         b.iter(|| unit.check(&machine, canary_addr).unwrap());

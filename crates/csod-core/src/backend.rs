@@ -321,14 +321,17 @@ impl Backend for Machine {
         }
     }
 
+    #[inline]
     fn store_u64(&mut self, addr: VirtAddr, value: u64) -> Result<(), MemoryError> {
         self.raw_store_u64(addr, value)
     }
 
+    #[inline]
     fn load_u64(&self, addr: VirtAddr) -> Result<u64, MemoryError> {
         self.raw_load_u64(addr)
     }
 
+    #[inline]
     fn write_bytes(&mut self, addr: VirtAddr, data: &[u8]) -> Result<(), MemoryError> {
         self.raw_write_bytes(addr, data)
     }
@@ -343,6 +346,7 @@ impl Backend for Machine {
 }
 
 impl HeapBackend<Machine> for SimHeap {
+    #[inline]
     fn malloc(&mut self, backend: &mut Machine, size: u64) -> Result<VirtAddr, HeapError> {
         SimHeap::malloc(self, backend, size)
     }
@@ -351,6 +355,7 @@ impl HeapBackend<Machine> for SimHeap {
         SimHeap::memalign(self, backend, align, size)
     }
 
+    #[inline]
     fn free(&mut self, backend: &mut Machine, addr: VirtAddr) -> Result<u64, HeapError> {
         SimHeap::free(self, backend, addr)
     }

@@ -54,11 +54,13 @@ impl ObjectLayout {
 
     /// Offset of the canary word from the user pointer: the requested
     /// size rounded up to the 8-byte word the hardware can watch.
+    #[inline]
     pub fn canary_offset(&self) -> u64 {
         self.requested.max(1).div_ceil(CANARY_SIZE) * CANARY_SIZE
     }
 
     /// Total bytes to request from the underlying allocator.
+    #[inline]
     pub fn total_size(&self) -> u64 {
         self.user_offset() + self.canary_offset() + CANARY_SIZE
     }
@@ -69,6 +71,7 @@ impl ObjectLayout {
     }
 
     /// Canary address for a user pointer.
+    #[inline]
     pub fn canary_addr(&self, user: VirtAddr) -> VirtAddr {
         user + self.canary_offset()
     }
@@ -120,8 +123,11 @@ impl CanaryUnit {
         self.canary_value
     }
 
-    /// Writes the Figure-5 header and the canary for an object laid out
-    /// by `layout` at raw address `real`.
+    /// Writes the Figure-5 header at `header` and the canary for an
+    /// object laid out by `layout`, recording `real` as the block start
+    /// the allocator returned. `malloc` places the header at the block
+    /// start, so the two are equal; `memalign` pads the block's front to
+    /// align the object, and the header then sits further in.
     ///
     /// # Errors
     ///
@@ -131,19 +137,20 @@ impl CanaryUnit {
         &self,
         machine: &mut B,
         layout: ObjectLayout,
+        header: VirtAddr,
         real: VirtAddr,
         ctx_id: CtxId,
     ) -> Result<(), MemoryError> {
-        let user = layout.user_ptr(real);
         if layout.evidence {
             // The four header words are contiguous: one write, one
             // region lookup, instead of four round trips.
-            let mut header = [0u8; 32];
-            header[..8].copy_from_slice(&real.as_u64().to_le_bytes());
-            header[8..16].copy_from_slice(&layout.requested.to_le_bytes());
-            header[16..24].copy_from_slice(&u64::from(ctx_id.as_u32()).to_le_bytes());
-            header[24..32].copy_from_slice(&OBJECT_IDENTIFIER.to_le_bytes());
-            machine.write_bytes(real, &header)?;
+            let mut words = [0u8; 32];
+            words[..8].copy_from_slice(&real.as_u64().to_le_bytes());
+            words[8..16].copy_from_slice(&layout.requested.to_le_bytes());
+            words[16..24].copy_from_slice(&u64::from(ctx_id.as_u32()).to_le_bytes());
+            words[24..32].copy_from_slice(&OBJECT_IDENTIFIER.to_le_bytes());
+            machine.write_bytes(header, &words)?;
+            let user = layout.user_ptr(header);
             machine.store_u64(layout.canary_addr(user), self.canary_value)?;
         }
         Ok(())
@@ -232,19 +239,24 @@ mod tests {
 
     #[test]
     fn imprint_and_read_back() {
-        let (mut m, base) = setup();
         let unit = CanaryUnit::new(0xDEAD_BEEF_F00D_CAFE);
         let layout = ObjectLayout::new(true, 40);
-        unit.imprint(&mut m, layout, base, CtxId::from_index(7)).unwrap();
-        let user = layout.user_ptr(base);
-        let header = unit.read_header(&m, user).expect("valid header");
-        assert_eq!(header.real_ptr, base);
-        assert_eq!(header.object_size, 40);
-        assert_eq!(header.ctx_id, CtxId::from_index(7));
-        assert_eq!(
-            unit.check(&m, layout.canary_addr(user)).unwrap(),
-            CanaryStatus::Intact
-        );
+        // The header at the block start (malloc), and 32 bytes into a
+        // 64-byte front padding (memalign at 64).
+        for lead in [0, 32] {
+            let (mut m, base) = setup();
+            let at = base + lead;
+            unit.imprint(&mut m, layout, at, base, CtxId::from_index(7)).unwrap();
+            let user = layout.user_ptr(at);
+            let header = unit.read_header(&m, user).expect("valid header");
+            assert_eq!(header.real_ptr, base);
+            assert_eq!(header.object_size, 40);
+            assert_eq!(header.ctx_id, CtxId::from_index(7));
+            assert_eq!(
+                unit.check(&m, layout.canary_addr(user)).unwrap(),
+                CanaryStatus::Intact
+            );
+        }
     }
 
     #[test]
@@ -252,7 +264,7 @@ mod tests {
         let (mut m, base) = setup();
         let unit = CanaryUnit::new(0x1111_2222_3333_4444);
         let layout = ObjectLayout::new(true, 16);
-        unit.imprint(&mut m, layout, base, CtxId::from_index(0)).unwrap();
+        unit.imprint(&mut m, layout, base, base, CtxId::from_index(0)).unwrap();
         let canary = layout.canary_addr(layout.user_ptr(base));
         // The program over-writes one word past its object.
         m.raw_store_u64(canary, 0x4242).unwrap();
@@ -267,7 +279,7 @@ mod tests {
         let (mut m, base) = setup();
         let unit = CanaryUnit::new(1);
         let layout = ObjectLayout::new(true, 16);
-        unit.imprint(&mut m, layout, base, CtxId::from_index(0)).unwrap();
+        unit.imprint(&mut m, layout, base, base, CtxId::from_index(0)).unwrap();
         m.raw_store_u64(base + 24, 0).unwrap();
         assert!(unit.read_header(&m, layout.user_ptr(base)).is_none());
     }
@@ -277,7 +289,7 @@ mod tests {
         let (mut m, base) = setup();
         let unit = CanaryUnit::new(0xABCD);
         let layout = ObjectLayout::new(false, 16);
-        unit.imprint(&mut m, layout, base, CtxId::from_index(0)).unwrap();
+        unit.imprint(&mut m, layout, base, base, CtxId::from_index(0)).unwrap();
         assert_eq!(m.raw_load_u64(base).unwrap(), 0, "memory untouched");
     }
 }

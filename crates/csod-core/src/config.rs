@@ -450,6 +450,7 @@ impl MitigationParams {
 
     /// The hardened request for `requested` bytes: the original size
     /// plus slack, rounded up to the size alignment.
+    #[inline]
     pub fn harden(&self, requested: u64) -> u64 {
         let grown = requested.saturating_add(self.slack_bytes);
         let align = self.size_align.max(1);

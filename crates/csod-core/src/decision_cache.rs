@@ -63,15 +63,42 @@ struct CachedVerdict {
 }
 
 /// Counters describing how a [`DecisionCache`] behaved.
+///
+/// Every miss is counted under exactly one cause, so the four cause
+/// counters sum to `misses`. A miss with several causes counts under the
+/// first that applies, in the order the fields are listed; with
+/// `refresh == 1` every miss on an existing entry is a refresh miss.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionCacheStats {
     /// Decisions served from the cache (no shared-table access).
     pub hits: u64,
-    /// Decisions that went to the sampling unit (first sight, refresh
-    /// due, or right after an invalidation).
+    /// Decisions that went to the sampling unit.
     pub misses: u64,
+    /// Misses with no entry: the context's first allocation on this
+    /// thread (or its first since a flush).
+    pub cold_misses: u64,
+    /// Misses on an entry filled before the sampler's probability epoch
+    /// last moved.
+    pub stale_epoch_misses: u64,
+    /// Misses on an entry whose refresh budget was spent, and every
+    /// non-cold decision when `refresh == 1` disables memoization.
+    pub refresh_misses: u64,
+    /// Misses on an entry filled more than one burst window ago.
+    pub ttl_misses: u64,
     /// Whole-cache invalidations: probability-epoch changes and flushes.
     pub invalidations: u64,
+}
+
+impl std::ops::AddAssign for DecisionCacheStats {
+    fn add_assign(&mut self, other: DecisionCacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.cold_misses += other.cold_misses;
+        self.stale_epoch_misses += other.stale_epoch_misses;
+        self.refresh_misses += other.refresh_misses;
+        self.ttl_misses += other.ttl_misses;
+        self.invalidations += other.invalidations;
+    }
 }
 
 /// A per-thread cache of sampling verdicts keyed by calling context.
@@ -156,13 +183,24 @@ impl DecisionCache {
                 d.wants_watch = rng.chance_ppm(d.probability_ppm);
                 return d;
             }
-            // Miss, stale epoch, refresh due, or memoization disabled:
-            // the count is moved out of the entry, not copied — if the
+            let cause = if self.refresh == 1 {
+                &mut self.stats.refresh_misses
+            } else if entry.epoch != self.epoch {
+                &mut self.stats.stale_epoch_misses
+            } else if entry.uses_left == 0 {
+                &mut self.stats.refresh_misses
+            } else {
+                &mut self.stats.ttl_misses
+            };
+            *cause += 1;
+            // The count is moved out of the entry, not copied — if the
             // fresh decision bumps the epoch (burst, revive) the
             // invalidation below must not absorb the same allocations
             // twice. A stale entry's count was absorbed by the
             // invalidation that outdated it, so it reads 0 here.
             pending = std::mem::take(&mut entry.pending);
+        } else {
+            self.stats.cold_misses += 1;
         }
         // Take the pending batch to the sampling unit and memoize the
         // fresh verdict.
@@ -249,6 +287,7 @@ mod tests {
     use super::*;
     use crate::config::SamplingParams;
     use csod_ctx::FrameTable;
+    use sim_machine::VirtDuration;
 
     fn sampler() -> SamplingUnit {
         SamplingUnit::new(SamplingParams::default())
@@ -406,6 +445,144 @@ mod tests {
         assert!(cache.is_empty());
         assert!(cache.dirty.is_empty());
         assert_eq!(u.state(k).unwrap().alloc_count, 6);
+    }
+
+    fn assert_causes_sum(stats: DecisionCacheStats) {
+        let causes =
+            stats.cold_misses + stats.stale_epoch_misses + stats.refresh_misses + stats.ttl_misses;
+        assert_eq!(causes, stats.misses, "the causes partition the misses");
+    }
+
+    /// One allocation from `(key, ctx)` at `now`, judged clear.
+    fn decide(
+        cache: &mut DecisionCache,
+        u: &SamplingUnit,
+        rng: &mut Arc4Random,
+        (key, ctx): &(ContextKey, CallingContext),
+        now: VirtInstant,
+    ) -> AllocDecision {
+        cache.on_allocation(u, *key, now, rng, ctx, |_| ContextJudgment::clear())
+    }
+
+    #[test]
+    fn first_sight_is_a_cold_miss() {
+        let frames = FrameTable::new();
+        let (u, mut rng) = (sampler(), Arc4Random::from_seed(1, 0));
+        let (a, b) = (fixtures(&frames, "a"), fixtures(&frames, "b"));
+        let mut cache = DecisionCache::new(64);
+        for ctx in [&a, &b, &a] {
+            decide(&mut cache, &u, &mut rng, ctx, VirtInstant::BOOT);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.cold_misses), (1, 2, 2));
+        assert_causes_sum(stats);
+        // A flush empties the table: the next use is cold again.
+        cache.flush(&u);
+        decide(&mut cache, &u, &mut rng, &a, VirtInstant::BOOT);
+        assert_eq!(cache.stats().cold_misses, 3);
+        assert_causes_sum(cache.stats());
+    }
+
+    #[test]
+    fn an_epoch_bump_makes_a_stale_epoch_miss() {
+        let frames = FrameTable::new();
+        let (u, mut rng) = (sampler(), Arc4Random::from_seed(1, 0));
+        let a = fixtures(&frames, "a");
+        let mut cache = DecisionCache::new(64);
+        decide(&mut cache, &u, &mut rng, &a, VirtInstant::BOOT);
+        u.on_watched(a.0);
+        decide(&mut cache, &u, &mut rng, &a, VirtInstant::BOOT);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.misses, stats.cold_misses, stats.stale_epoch_misses),
+            (2, 1, 1)
+        );
+        assert_causes_sum(stats);
+    }
+
+    #[test]
+    fn a_spent_budget_makes_a_refresh_miss() {
+        let frames = FrameTable::new();
+        let (u, mut rng) = (sampler(), Arc4Random::from_seed(1, 0));
+        let a = fixtures(&frames, "a");
+        // refresh 3: miss, hit, hit, then the budget is spent.
+        let mut cache = DecisionCache::new(3);
+        for _ in 0..4 {
+            decide(&mut cache, &u, &mut rng, &a, VirtInstant::BOOT);
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.cold_misses, stats.refresh_misses),
+            (2, 1, 1)
+        );
+        assert_causes_sum(stats);
+        // With memoization off, every later decision is a refresh miss,
+        // an epoch bump in between included.
+        let mut off = DecisionCache::new(1);
+        decide(&mut off, &u, &mut rng, &a, VirtInstant::BOOT);
+        u.on_watched(a.0);
+        for _ in 0..3 {
+            decide(&mut off, &u, &mut rng, &a, VirtInstant::BOOT);
+        }
+        let stats = off.stats();
+        assert_eq!(
+            (
+                stats.cold_misses,
+                stats.refresh_misses,
+                stats.stale_epoch_misses
+            ),
+            (1, 3, 0)
+        );
+        assert_causes_sum(stats);
+    }
+
+    #[test]
+    fn an_entry_older_than_the_burst_window_makes_a_ttl_miss() {
+        let frames = FrameTable::new();
+        let (u, mut rng) = (sampler(), Arc4Random::from_seed(1, 0));
+        let a = fixtures(&frames, "a");
+        let mut cache = DecisionCache::new(64);
+        decide(&mut cache, &u, &mut rng, &a, VirtInstant::BOOT);
+        // Exactly one window later the entry still serves.
+        let edge = VirtInstant::BOOT + u.params().burst_window;
+        decide(&mut cache, &u, &mut rng, &a, edge);
+        assert_eq!(cache.stats().hits, 1);
+        let late = edge + VirtDuration::from_nanos(1);
+        decide(&mut cache, &u, &mut rng, &a, late);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.misses, stats.cold_misses, stats.ttl_misses),
+            (2, 1, 1)
+        );
+        assert_causes_sum(stats);
+    }
+
+    #[test]
+    fn stats_add_field_by_field() {
+        let one = DecisionCacheStats {
+            hits: 1,
+            misses: 2,
+            cold_misses: 3,
+            stale_epoch_misses: 4,
+            refresh_misses: 5,
+            ttl_misses: 6,
+            invalidations: 7,
+        };
+        let mut total = DecisionCacheStats::default();
+        total += one;
+        total += one;
+        assert_eq!(
+            total,
+            DecisionCacheStats {
+                hits: 2,
+                misses: 4,
+                cold_misses: 6,
+                stale_epoch_misses: 8,
+                refresh_misses: 10,
+                ttl_misses: 12,
+                invalidations: 14,
+            }
+        );
     }
 
     #[test]

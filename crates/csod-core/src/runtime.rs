@@ -109,6 +109,7 @@ struct LiveRecords {
 }
 
 impl LiveRecords {
+    #[inline]
     fn insert(&mut self, record: AllocationRecord) {
         let at = if let Some(at) = self.free.pop() {
             self.slab[at as usize] = record;
@@ -123,6 +124,7 @@ impl LiveRecords {
         }
     }
 
+    #[inline]
     fn get(&self, user: VirtAddr) -> Option<&AllocationRecord> {
         self.index
             .get(user.as_u64())
@@ -133,6 +135,7 @@ impl LiveRecords {
         self.index.contains(user.as_u64())
     }
 
+    #[inline]
     fn remove(&mut self, user: VirtAddr) -> Option<AllocationRecord> {
         let at = self.index.remove(user.as_u64())?;
         self.free.push(at);
@@ -466,12 +469,21 @@ impl Csod {
             return;
         }
         let i = tid.as_u32() as usize;
+        if i >= self.thread_tracers.len() {
+            self.register_tracers(i);
+        }
+        self.thread_tracers[i].emit(at.as_nanos(), kind, a, b);
+    }
+
+    /// Registers trace rings up to thread `i`'s: once per thread, kept
+    /// out of line so [`Csod::trace_event`] inlines into its callers.
+    #[cold]
+    fn register_tracers(&mut self, i: usize) {
         while self.thread_tracers.len() <= i {
             let next = u32::try_from(self.thread_tracers.len()).unwrap_or(u32::MAX);
             let handle = self.tracer.register(next);
             self.thread_tracers.push(handle);
         }
-        self.thread_tracers[i].emit(at.as_nanos(), kind, a, b);
     }
 
     /// Emits a degradation transition event if the ladder's mode moved
@@ -550,7 +562,8 @@ impl Csod {
         let canary_addr = layout.canary_addr(user);
         if self.config.evidence {
             machine.charge_tool(machine.tool_costs().canary_write);
-            self.canary.imprint(machine, layout, real, decision.ctx_id)?;
+            self.canary
+                .imprint(machine, layout, real, real, decision.ctx_id)?;
         }
 
         let allocated_at = machine.now();
@@ -620,11 +633,9 @@ impl Csod {
         if self.config.evidence {
             machine.charge_tool(machine.tool_costs().canary_write);
             // The header sits in the 32 bytes before the user pointer.
-            machine.store_u64(user - 32, real.as_u64())?;
-            machine.store_u64(user - 24, size)?;
-            machine.store_u64(user - 16, u64::from(decision.ctx_id.as_u32()))?;
-            machine.store_u64(user - 8, crate::canary::OBJECT_IDENTIFIER)?;
-            machine.store_u64(canary_addr, self.canary.canary_value())?;
+            let header = user - HEADER_SIZE;
+            self.canary
+                .imprint(machine, layout, header, real, decision.ctx_id)?;
         }
 
         let allocated_at = machine.now();
@@ -762,12 +773,22 @@ impl Csod {
     }
 
     /// The decision cache of thread `tid`, created on first use.
+    #[inline]
     fn cache_for(caches: &mut Vec<DecisionCache>, refresh: u32, tid: ThreadId) -> &mut DecisionCache {
         let i = tid.as_u32() as usize;
+        if i >= caches.len() {
+            Self::grow_caches(caches, refresh, i);
+        }
+        &mut caches[i]
+    }
+
+    /// Creates the decision caches up to thread `i`'s: once per thread,
+    /// kept out of line so [`Csod::cache_for`] inlines.
+    #[cold]
+    fn grow_caches(caches: &mut Vec<DecisionCache>, refresh: u32, i: usize) {
         while caches.len() <= i {
             caches.push(DecisionCache::new(refresh));
         }
-        &mut caches[i]
     }
 
     /// Shared allocation epilogue: the watch attempt — the sampler's
@@ -1455,10 +1476,7 @@ impl Csod {
     pub fn decision_cache_stats(&self) -> DecisionCacheStats {
         let mut total = DecisionCacheStats::default();
         for cache in &self.caches {
-            let s = cache.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.invalidations += s.invalidations;
+            total += cache.stats();
         }
         total
     }
@@ -2163,6 +2181,72 @@ mod tests {
         f.csod
             .free(&mut f.machine, &mut f.heap, ThreadId::MAIN, p)
             .unwrap();
+    }
+
+    #[test]
+    fn memalign_headers_record_the_block_start_and_catch_overflows_at_free() {
+        for align in [64, 4096] {
+            let mut f = fixture(CsodConfig::default());
+            // Confirm `bug.c:1` overflowing through a canary hit (the raw
+            // store bypasses any watchpoint), so its later allocations
+            // are mitigated.
+            let p = malloc(&mut f, "bug.c:1", 16);
+            f.machine.raw_store_u64(p + 16, 0xBAD).unwrap();
+            f.csod
+                .free(&mut f.machine, &mut f.heap, ThreadId::MAIN, p)
+                .unwrap();
+            assert_eq!(f.csod.stats().contexts_mitigated, 1);
+            let hits = f.csod.stats().canary_free_hits;
+            for (site, mitigated) in [("plain.c:1", false), ("bug.c:1", true)] {
+                let (k, c) = (key(&f.frames, site), ctx(&f.frames, site));
+                let size = 100;
+                let p = f
+                    .csod
+                    .memalign(
+                        &mut f.machine,
+                        &mut f.heap,
+                        ThreadId::MAIN,
+                        align,
+                        size,
+                        k,
+                        &c,
+                    )
+                    .unwrap();
+                assert!(p.is_aligned(align));
+                let record = *f.csod.records.get(p).unwrap();
+                assert_eq!(record.mitigated, mitigated, "{site} at {align}");
+                let laid_out = if mitigated {
+                    f.csod.config().mitigation.harden(size)
+                } else {
+                    size
+                };
+                let header = CanaryUnit::new(0)
+                    .read_header(&f.machine, p)
+                    .expect("valid header");
+                assert_eq!(header.real_ptr, record.real, "{site} at {align}");
+                assert_eq!(
+                    p - record.real,
+                    align,
+                    "the header sits in the front padding"
+                );
+                assert_eq!(header.object_size, laid_out, "{site} at {align}");
+                // One word past the laid-out object is the canary.
+                let canary = ObjectLayout::new(true, laid_out).canary_addr(p);
+                assert_eq!(canary, record.canary_addr);
+                f.machine.raw_store_u64(canary, 0x4242).unwrap();
+                f.csod
+                    .free(&mut f.machine, &mut f.heap, ThreadId::MAIN, p)
+                    .unwrap();
+                assert_eq!(
+                    f.csod.stats().canary_free_hits,
+                    hits + 1 + u64::from(mitigated),
+                    "{site} at {align}"
+                );
+            }
+            f.csod
+                .drain_quarantine(&mut f.machine, &mut f.heap)
+                .unwrap();
+        }
     }
 
     #[test]

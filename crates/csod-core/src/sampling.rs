@@ -220,6 +220,7 @@ impl SamplingUnit {
 
     /// The current probability epoch. Any change to this value means
     /// memoized sampling verdicts may be stale and must be refreshed.
+    #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }

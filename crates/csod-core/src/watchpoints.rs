@@ -49,6 +49,7 @@ fn slot_u32(idx: usize) -> u32 {
 
 impl WatchFilter {
     /// Whether `addr` is the start of a currently watched object.
+    #[inline]
     pub fn contains(&self, addr: VirtAddr) -> bool {
         self.addrs.contains(&addr.as_u64())
     }
@@ -331,6 +332,7 @@ impl WatchpointManager {
     }
 
     /// Whether at least one of the four slots is free.
+    #[inline]
     pub fn has_free_slot(&self) -> bool {
         self.slots.iter().any(Option::is_none)
     }

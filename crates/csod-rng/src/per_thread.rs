@@ -98,13 +98,24 @@ impl RngSlots {
 
     /// The generator of slot `index`, created on first use with stream
     /// id `index`.
+    #[inline]
     pub fn get(&mut self, index: u32) -> &mut Arc4Random {
+        let i = index as usize;
+        if !matches!(self.slots.get(i), Some(Some(_))) {
+            self.create(index);
+        }
+        self.slots[i].as_mut().expect("slot was just created")
+    }
+
+    /// Creates slot `index`'s generator: once per thread, kept out of
+    /// line so [`RngSlots::get`] inlines into the allocation path.
+    #[cold]
+    fn create(&mut self, index: u32) {
         let i = index as usize;
         if i >= self.slots.len() {
             self.slots.resize(i + 1, None);
         }
-        let seed = self.seed;
-        self.slots[i].get_or_insert_with(|| Arc4Random::from_seed(seed, u64::from(index)))
+        self.slots[i] = Some(Arc4Random::from_seed(self.seed, u64::from(index)));
     }
 
     /// Drops the generator of slot `index` (thread exit). A later

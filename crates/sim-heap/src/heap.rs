@@ -282,6 +282,7 @@ impl SimHeap {
         &self.stats
     }
 
+    #[inline]
     fn allocate(&mut self, size: u64) -> Result<VirtAddr, HeapError> {
         let class = SizeClass::for_request(size);
         let block = class.block_size();

@@ -50,6 +50,7 @@ impl SizeClass {
     /// assert_eq!(SizeClass::for_request(513).block_size(), 1024);
     /// assert_eq!(SizeClass::for_request(3 << 20).block_size(), 3 << 20);
     /// ```
+    #[inline]
     pub fn for_request(size: u64) -> SizeClass {
         let size = size.max(1);
         if size <= SMALL_MAX {

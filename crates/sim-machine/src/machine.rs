@@ -187,6 +187,7 @@ impl Machine {
 
     /// Fault hook for allocators: whether the next heap allocation must
     /// fail. Draws from (and counts against) the installed plan.
+    #[inline]
     pub fn fault_alloc_fails(&mut self) -> bool {
         self.faults.as_mut().is_some_and(FaultPlan::fail_alloc)
     }
@@ -578,12 +579,20 @@ impl Machine {
 
     /// Declares the statement `tid` is currently executing; carried into
     /// any signal raised by that thread's accesses.
+    #[inline]
     pub fn set_current_site(&mut self, tid: ThreadId, site: SiteToken) {
         let at = tid.as_u32() as usize;
         if self.current_site.len() <= at {
-            self.current_site.resize(at + 1, SiteToken::UNKNOWN);
+            self.grow_current_site(at);
         }
         self.current_site[at] = site;
+    }
+
+    /// Extends the per-thread site table to cover thread index `at`:
+    /// once per thread, kept out of line so `set_current_site` inlines.
+    #[cold]
+    fn grow_current_site(&mut self, at: usize) {
+        self.current_site.resize(at + 1, SiteToken::UNKNOWN);
     }
 
     fn site_of(&self, tid: ThreadId) -> SiteToken {
@@ -985,6 +994,7 @@ impl Machine {
 
     /// Whether any signal is waiting for delivery (including fault-
     /// delayed signals that are already due).
+    #[inline]
     pub fn has_pending_signals(&self) -> bool {
         let now = self.clock.now();
         !self.pending.is_empty() || self.delayed.iter().any(|&(due, _)| due <= now)

@@ -123,18 +123,41 @@ impl Region {
         chunk: u64,
     ) -> &'a mut [u8] {
         let chunk = chunk as usize;
+        if !matches!(chunks.get(chunk), Some(Some(_))) {
+            Region::back_chunk(chunks, resident, chunk);
+        }
+        chunks[chunk].as_deref_mut().expect("chunk is backed")
+    }
+
+    /// Allocates the backing of a chunk on its first write: once per
+    /// 64 KiB, kept out of line so `chunk_mut` inlines.
+    #[cold]
+    fn back_chunk(chunks: &mut Vec<Option<Box<[u8]>>>, resident: &mut u64, chunk: usize) {
         if chunk >= chunks.len() {
             chunks.resize(chunk + 1, None);
         }
-        let slot = &mut chunks[chunk];
-        if slot.is_none() {
-            *slot = Some(vec![0u8; CHUNK as usize].into_boxed_slice());
-            *resident += CHUNK;
-        }
-        slot.as_deref_mut().expect("just allocated")
+        chunks[chunk] = Some(vec![0u8; CHUNK as usize].into_boxed_slice());
+        *resident += CHUNK;
     }
 
+    #[inline]
     fn write(&mut self, offset: u64, data: &[u8]) {
+        let start = (offset % CHUNK) as usize;
+        if data.is_empty() || start + data.len() > CHUNK as usize {
+            self.write_pieces(offset, data);
+            return;
+        }
+        // The write lies inside one chunk: the common case (a header or
+        // a word), done without the piece loop.
+        Region::chunk_mut(&mut self.chunks, &mut self.resident, offset / CHUNK)
+            [start..start + data.len()]
+            .copy_from_slice(data);
+    }
+
+    /// A write that is empty or crosses a chunk boundary, kept out of
+    /// line so `write` inlines.
+    #[cold]
+    fn write_pieces(&mut self, offset: u64, data: &[u8]) {
         let chunks = &mut self.chunks;
         let resident = &mut self.resident;
         Region::for_pieces(offset, data.len() as u64, |chunk, start, take, progress| {
@@ -286,6 +309,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`MemoryError::Unmapped`] if the range is not fully mapped.
+    #[inline]
     pub fn fill(&mut self, addr: VirtAddr, len: u64, byte: u8) -> Result<(), MemoryError> {
         let region = self
             .region_containing_mut(addr, len)
